@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "util/thread_pool.h"
 
 using namespace cottage;
 using namespace cottage::bench;
@@ -47,31 +48,15 @@ main(int argc, char **argv)
         plain.append(std::move(query));
     }
 
-    const auto replayCustom = [&](Policy &policy,
-                                  const QueryTrace &trace) {
-        experiment.cluster().reset();
-        policy.reset();
-        std::vector<QueryMeasurement> measurements;
-        measurements.reserve(trace.size());
-        for (const Query &query : trace.queries()) {
-            const auto truth = experiment.engine().globalTopK(query);
-            const QueryPlan plan =
-                policy.plan(query, experiment.engine());
-            QueryMeasurement m =
-                experiment.engine().execute(query, plan, truth);
-            policy.observe(m);
-            measurements.push_back(std::move(m));
-        }
-        RunSummary summary =
-            summarizeRun(policy.name(), trace.name(), measurements);
-        double window = trace.durationSeconds();
-        for (ShardId s = 0; s < experiment.cluster().numIsns(); ++s)
-            window = std::max(
-                window,
-                experiment.cluster().isn(s).busyUntilSeconds());
-        summary.avgPowerWatts =
-            experiment.cluster().averagePowerWatts(window);
-        return summary;
+    // Exhaustive truth per query, honouring the personalization
+    // weights (as Experiment::groundTruth does for the stock traces).
+    const auto groundTruth = [&](const QueryTrace &trace) {
+        std::vector<std::vector<ScoredDoc>> truth(trace.size());
+        ThreadPool::global().parallelFor(
+            0, trace.size(), [&](std::size_t q) {
+                truth[q] = experiment.engine().globalTopK(trace.query(q));
+            });
+        return truth;
     };
 
     for (const auto &[label, trace] :
@@ -80,10 +65,15 @@ main(int argc, char **argv)
           std::pair<const char *, const QueryTrace *>{"unweighted twin",
                                                       &plain}}) {
         std::cout << "\n=== " << label << " trace ===\n";
+        const std::vector<std::vector<ScoredDoc>> truth =
+            groundTruth(*trace);
+        // A custom trace replays through the harness's one loop: the
+        // serving front-end, switched off.
+        ServingFrontEnd replay(experiment.engine(), ServingConfig{});
         TextTable table({"policy", "avg ms", "P@10", "ISNs", "power W"});
         for (const std::string &name : policies) {
             auto policy = experiment.makePolicy(name);
-            const RunSummary s = replayCustom(*policy, *trace);
+            const RunSummary s = replay.serve(*policy, *trace, truth).run;
             table.addRow({name,
                           TextTable::cell(s.avgLatencySeconds * 1e3, 2),
                           TextTable::cell(s.avgPrecision, 3),

@@ -46,6 +46,7 @@
 #include "serve/scenario.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
+#include "util/string_util.h"
 
 using namespace cottage;
 
@@ -63,14 +64,6 @@ splitList(const std::string &csv)
     return items;
 }
 
-/** Shortest round-trippable double, matching the other bench JSONs. */
-std::string
-num(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-    return std::string(buffer);
-}
 
 /** FNV-1a over raw bytes — the merged top-K's bitwise fingerprint. */
 uint64_t
@@ -292,7 +285,7 @@ main(int argc, char **argv)
         << "\"sweep_docs\":" << corpusConfig.numDocs
         << ",\"sweep_queries\":" << termSets.size()
         << ",\"repeats\":" << repeats
-        << ",\"qps_scale\":" << num(qpsScale)
+        << ",\"qps_scale\":" << jsonNumber(qpsScale)
         << ",\"timed\":" << (timed ? "true" : "false")
         << ",\"smoke\":" << (smoke ? "true" : "false") << "},\n"
         << "  \"sweep\": [\n";
@@ -303,7 +296,7 @@ main(int argc, char **argv)
                       static_cast<unsigned long long>(cell.checksum));
         out << "    {\"evaluator\":\"" << cell.evaluator << "\""
             << ",\"cores\":" << cell.cores
-            << ",\"ns_per_query\":" << num(cell.nsPerQuery)
+            << ",\"ns_per_query\":" << jsonNumber(cell.nsPerQuery)
             << ",\"docs_scored\":" << cell.work.docsScored
             << ",\"docs_skipped\":" << cell.work.docsSkipped
             << ",\"blocks_decoded\":" << cell.work.blocksDecoded
@@ -314,7 +307,7 @@ main(int argc, char **argv)
     out << "  ],\n  \"fitted_alpha\": [\n";
     for (std::size_t i = 0; i < alphas.size(); ++i) {
         out << "    {\"evaluator\":\"" << alphas[i].evaluator << "\""
-            << ",\"alpha\":" << num(alphas[i].alpha) << "}"
+            << ",\"alpha\":" << jsonNumber(alphas[i].alpha) << "}"
             << (i + 1 < alphas.size() ? ",\n" : "\n");
     }
     out << "  ],\n  \"frontier\": [\n";
@@ -323,11 +316,11 @@ main(int argc, char **argv)
         out << "    {\"scenario\":\"" << row.scenario << "\""
             << ",\"policy\":\"cottage\""
             << ",\"isn_cores\":" << row.isnCores
-            << ",\"p99_latency_s\":" << num(row.p99Seconds)
-            << ",\"energy_j\":" << num(row.energyJoules)
-            << ",\"avg_power_w\":" << num(row.avgPowerWatts)
-            << ",\"avg_ndcg\":" << num(row.avgNdcg)
-            << ",\"shed_rate\":" << num(row.shedRate) << "}"
+            << ",\"p99_latency_s\":" << jsonNumber(row.p99Seconds)
+            << ",\"energy_j\":" << jsonNumber(row.energyJoules)
+            << ",\"avg_power_w\":" << jsonNumber(row.avgPowerWatts)
+            << ",\"avg_ndcg\":" << jsonNumber(row.avgNdcg)
+            << ",\"shed_rate\":" << jsonNumber(row.shedRate) << "}"
             << (i + 1 < frontier.size() ? ",\n" : "\n");
     }
     out << "  ]\n}\n";

@@ -126,6 +126,20 @@ DistributedEngine::shardWorkAll(const Query &query) const
     return work;
 }
 
+double
+DistributedEngine::dispatchSeconds(const Query &query,
+                                   const QueryPlan &plan) const
+{
+    return query.arrivalSeconds + plan.decisionOverheadSeconds +
+           0.5 * cluster_->network().rttSeconds;
+}
+
+double
+DistributedEngine::rejectLatencySeconds(const QueryPlan &plan) const
+{
+    return plan.decisionOverheadSeconds + cluster_->network().rttSeconds;
+}
+
 QueryMeasurement
 DistributedEngine::execute(const Query &query, const QueryPlan &plan,
                            const std::vector<ScoredDoc> &groundTruth)
@@ -133,18 +147,11 @@ DistributedEngine::execute(const Query &query, const QueryPlan &plan,
     COTTAGE_CHECK_MSG(plan.isns.size() == index_->numShards(),
                       "plan size must match shard count");
 
-    QueryMeasurement measurement;
-    measurement.id = query.id;
-    measurement.arrivalSeconds = query.arrivalSeconds;
-    measurement.tenant = query.tenant;
+    QueryMeasurement measurement(query);
     measurement.budgetSeconds = plan.budgetSeconds;
 
     const NetworkModel &network = cluster_->network();
-    // Dispatch happens after the policy's decision work and half a
-    // round trip to the ISNs.
-    const double dispatch = query.arrivalSeconds +
-                            plan.decisionOverheadSeconds +
-                            0.5 * network.rttSeconds;
+    const double dispatch = dispatchSeconds(query, plan);
     const double deadline = plan.budgetSeconds == noBudget
                                 ? noBudget
                                 : dispatch + plan.budgetSeconds;

@@ -67,6 +67,15 @@ class DistributedEngine
     QueryMeasurement execute(const Query &query, const QueryPlan &plan,
                              const std::vector<ScoredDoc> &groundTruth);
 
+    /**
+     * When a plan's requests leave the aggregator: arrival + decision
+     * overhead + half a round trip. execute() dispatches at it.
+     */
+    double dispatchSeconds(const Query &query, const QueryPlan &plan) const;
+
+    /** Latency of a query rejected after planning: decision + RTT. */
+    double rejectLatencySeconds(const QueryPlan &plan) const;
+
     /** Toggle the anytime-partial-results contract (default on). */
     void setAnytimePartials(bool enabled) { anytimePartials_ = enabled; }
     bool anytimePartials() const { return anytimePartials_; }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "index/top_k.h"
+#include "text/query.h"
 #include "text/types.h"
 
 namespace cottage {
@@ -86,6 +87,15 @@ struct QueryPlan
 /** Everything measured while executing one query. */
 struct QueryMeasurement
 {
+    QueryMeasurement() = default;
+
+    /** @p query's record: id, arrival and tenant stamped, the rest zero. */
+    explicit QueryMeasurement(const Query &query)
+        : id(query.id), arrivalSeconds(query.arrivalSeconds),
+          tenant(query.tenant)
+    {
+    }
+
     QueryId id = 0;
     double arrivalSeconds = 0.0;
 

@@ -47,6 +47,10 @@ ExperimentConfig
 ExperimentConfig::fromFlags(const CliFlags &flags)
 {
     ExperimentConfig config;
+    // Millisecond flags over fields kept in seconds.
+    const auto millis = [&flags](const char *name, double seconds) {
+        return flags.getDouble(name, seconds * 1e3) * 1e-3;
+    };
     config.corpus.numDocs = static_cast<uint32_t>(
         flags.getInt("docs", config.corpus.numDocs));
     config.corpus.vocabSize = static_cast<uint32_t>(
@@ -59,7 +63,7 @@ ExperimentConfig::fromFlags(const CliFlags &flags)
         static_cast<std::size_t>(flags.getInt("k", config.shards.topK));
     config.traceQueries = static_cast<uint64_t>(
         flags.getInt("queries", config.traceQueries));
-    config.arrivalQps = flags.getDouble("qps", config.arrivalQps);
+    config.arrivalQps = getPositiveDouble(flags, "qps", config.arrivalQps);
     config.traceSeed = static_cast<uint64_t>(
         flags.getInt("trace-seed", config.traceSeed));
     config.trainQueries = static_cast<uint64_t>(
@@ -80,8 +84,7 @@ ExperimentConfig::fromFlags(const CliFlags &flags)
         flags.getDouble("taily-cutoff", config.taily.docCutoff);
     config.power.busyWattsAtReference = flags.getDouble(
         "busy-watts", config.power.busyWattsAtReference);
-    config.sloSeconds =
-        flags.getDouble("slo-ms", config.sloSeconds * 1e3) * 1e-3;
+    config.sloSeconds = millis("slo-ms", config.sloSeconds);
     config.coresPerIsn = static_cast<uint32_t>(
         flags.getInt("cores-per-isn", config.coresPerIsn));
     // Operator-facing validation: a typo'd width or serial fraction
@@ -106,26 +109,23 @@ ExperimentConfig::fromFlags(const CliFlags &flags)
     config.traceOut = flags.getString("trace-out", config.traceOut);
     config.metricsOut = flags.getString("metrics-out", config.metricsOut);
     config.powerWindowSeconds =
-        flags.getDouble("power-window-ms",
-                        config.powerWindowSeconds * 1e3) *
+        getPositiveDouble(flags, "power-window-ms",
+                          config.powerWindowSeconds * 1e3) *
         1e-3;
     config.serving.enabled =
         flags.getBool("serve", config.serving.enabled);
-    config.serving.admission.shedBacklogSeconds =
-        flags.getDouble("shed-backlog-ms",
-                        config.serving.admission.shedBacklogSeconds *
-                            1e3) *
-        1e-3;
-    config.serving.admission.degradeBacklogSeconds =
-        flags.getDouble(
-            "degrade-backlog-ms",
-            config.serving.admission.degradeBacklogSeconds * 1e3) *
-        1e-3;
-    config.serving.admission.overloadBudgetSeconds =
-        flags.getDouble(
-            "overload-budget-ms",
-            config.serving.admission.overloadBudgetSeconds * 1e3) *
-        1e-3;
+    AdmissionConfig &admission = config.serving.admission;
+    admission.shedBacklogSeconds =
+        millis("shed-backlog-ms", admission.shedBacklogSeconds);
+    admission.degradeBacklogSeconds =
+        millis("degrade-backlog-ms", admission.degradeBacklogSeconds);
+    // The ladder degrades before it sheds, so the shed line may equal
+    // the degrade line but never undercut it.
+    if (admission.shedBacklogSeconds < admission.degradeBacklogSeconds)
+        cliError("flag --shed-backlog-ms must be >= --degrade-backlog-ms",
+                 "--shed-backlog-ms=S --degrade-backlog-ms=D with S >= D");
+    admission.overloadBudgetSeconds =
+        millis("overload-budget-ms", admission.overloadBudgetSeconds);
     // Cache capacities: 0 legitimately disables a cache, but a
     // negative value would wrap through the size_t cast into a
     // near-infinite capacity — catch it at the flag boundary.
@@ -364,19 +364,15 @@ Experiment::makePolicy(const std::string &name)
     fatal("unknown policy: " + name);
 }
 
-RunResult
-Experiment::run(Policy &policy, TraceFlavor flavor)
+ServingRunResult
+Experiment::serveTrace(Policy &policy, const QueryTrace &queryTrace,
+                       const std::vector<std::vector<ScoredDoc>> &truth,
+                       const ServingConfig &serving)
 {
-    const QueryTrace &queryTrace = trace(flavor);
-    const auto &truth = groundTruth(flavor);
-
-    cluster_->reset();
-    policy.reset();
-
     // Observability: attach a fresh tracer/registry per run when the
     // config asks for them. Both hooks only observe — with traceOut
     // and metricsOut unset (the default) nothing is attached and the
-    // replay is byte-identical to an uninstrumented build
+    // run is byte-identical to an uninstrumented build
     // (tests/test_parallel.cc proves it).
     std::shared_ptr<QueryTracer> tracer;
     if (!config_.traceOut.empty()) {
@@ -400,46 +396,13 @@ Experiment::run(Policy &policy, TraceFlavor flavor)
         metrics = std::make_shared<MetricsRegistry>();
         metrics->configureWindows(config_.powerWindowSeconds,
                                   config_.power.idleWatts);
-        engine_->setMetrics(metrics.get());
     }
 
-    // Replay determinism contract: queries advance the cluster-sim
-    // strictly in arrival order (plans may read backlog state left by
-    // earlier queries), while each execute() fans its per-shard
-    // retrieval out over the pool. Parallelism lives entirely inside
-    // the pure retrieval phase, so the measured latency/energy stream
-    // is bit-identical at any thread count (tests/test_parallel.cc).
-    RunResult result;
-    result.measurements.reserve(queryTrace.size());
-    double energyBefore = 0.0;
-    for (std::size_t q = 0; q < queryTrace.size(); ++q) {
-        const Query &query = queryTrace.query(q);
-        const QueryPlan plan = policy.plan(query, *engine_);
-        QueryMeasurement measurement =
-            engine_->execute(query, plan, truth[q]);
-        if (metrics) {
-            // Energy per window: the busy energy this query's
-            // execution added, attributed to its arrival window.
-            const double energyAfter = cluster_->totalEnergyJoules();
-            metrics->addWindowSample(query.arrivalSeconds,
-                                     energyAfter - energyBefore);
-            energyBefore = energyAfter;
-        }
-        policy.observe(measurement);
-        result.measurements.push_back(std::move(measurement));
-    }
+    ServingFrontEnd frontEnd(*engine_, serving);
+    ServingRunResult result;
+    result.summary = frontEnd.serve(policy, queryTrace, truth, metrics.get());
+    result.measurements = frontEnd.takeMeasurements();
     engine_->setTracer(nullptr);
-    engine_->setMetrics(nullptr);
-
-    result.summary = summarizeRun(policy.name(), queryTrace.name(),
-                                  result.measurements);
-    // The power window runs until the last ISN drains.
-    double window = queryTrace.durationSeconds();
-    for (ShardId s = 0; s < cluster_->numIsns(); ++s)
-        window = std::max(window, cluster_->isn(s).busyUntilSeconds());
-    result.summary.durationSeconds = window;
-    result.summary.energyJoules = cluster_->totalEnergyJoules();
-    result.summary.avgPowerWatts = cluster_->averagePowerWatts(window);
 
     if (tracer) {
         tracer->flushSink();
@@ -448,7 +411,8 @@ Experiment::run(Policy &policy, TraceFlavor flavor)
     }
     if (metrics) {
         // End-of-run cluster state: per-ISN utilisation over the
-        // replay window and the per-ISN energy split.
+        // run's window (until the last ISN drains).
+        const double window = result.summary.run.durationSeconds;
         Histogram &utilisation =
             metrics->histogram("isn_utilization", 0.0, 1.0, 20, false);
         for (ShardId s = 0; s < cluster_->numIsns(); ++s)
@@ -459,12 +423,30 @@ Experiment::run(Policy &policy, TraceFlavor flavor)
             if (!*metricsFile_)
                 fatal("cannot open " + config_.metricsOut);
         }
-        *metricsFile_ << metrics->toJson(result.summary.policy,
-                                         result.summary.trace)
+        *metricsFile_ << metrics->toJson(result.summary.run.policy,
+                                         result.summary.run.trace)
                       << '\n';
         metricsFile_->flush();
         result.metrics = std::move(metrics);
     }
+    return result;
+}
+
+RunResult
+Experiment::run(Policy &policy, TraceFlavor flavor)
+{
+    // Replay is serving with the front-end off: no cache, no
+    // admission, one tenant. Each measurement (ranking included) is
+    // moved out of its record, never copied.
+    ServingRunResult served = serveTrace(policy, trace(flavor),
+                                         groundTruth(flavor), ServingConfig{});
+    RunResult result;
+    result.summary = std::move(served.summary.run);
+    result.measurements.reserve(served.measurements.size());
+    for (ServingMeasurement &record : served.measurements)
+        result.measurements.push_back(std::move(record.measurement));
+    result.trace = std::move(served.trace);
+    result.metrics = std::move(served.metrics);
     return result;
 }
 
@@ -484,33 +466,7 @@ Experiment::runServing(Policy &policy, TraceFlavor flavor,
     const auto &truth = groundTruth(flavor);
     const QueryTrace served =
         retimeTrace(trace(flavor), offeredQps, config_.serving.retimeSeed);
-
-    ServingFrontEnd frontEnd(*engine_, config_.serving);
-    std::shared_ptr<MetricsRegistry> metrics;
-    if (!config_.metricsOut.empty()) {
-        metrics = std::make_shared<MetricsRegistry>();
-        metrics->configureWindows(config_.powerWindowSeconds,
-                                  config_.power.idleWatts);
-    }
-
-    ServingRunResult result;
-    result.summary = frontEnd.serve(policy, served, truth, metrics.get());
-    result.measurements = frontEnd.measurements();
-
-    if (metrics) {
-        if (!metricsFile_) {
-            metricsFile_ =
-                std::make_unique<std::ofstream>(config_.metricsOut);
-            if (!*metricsFile_)
-                fatal("cannot open " + config_.metricsOut);
-        }
-        *metricsFile_ << metrics->toJson(result.summary.run.policy,
-                                         result.summary.run.trace)
-                      << '\n';
-        metricsFile_->flush();
-        result.metrics = std::move(metrics);
-    }
-    return result;
+    return serveTrace(policy, served, truth, config_.serving);
 }
 
 ServingRunResult
@@ -556,37 +512,13 @@ Experiment::runScenario(Policy &policy, const ScenarioConfig &scenario)
         serving.tenants.push_back(std::move(slo));
     }
 
-    ServingFrontEnd frontEnd(*engine_, serving);
-    std::shared_ptr<MetricsRegistry> metrics;
-    if (!config_.metricsOut.empty()) {
-        metrics = std::make_shared<MetricsRegistry>();
-        metrics->configureWindows(config_.powerWindowSeconds,
-                                  config_.power.idleWatts);
-    }
-
     // Hostile shape on, serve, shape off: the shape models hardware,
     // so it must survive the front-end's cluster reset but never leak
     // into later runs.
     cluster_->applyShape(scenario.shape);
-    ScenarioRunResult result;
-    result.summary =
-        frontEnd.serve(policy, merged.trace, truth, metrics.get());
-    result.measurements = frontEnd.measurements();
+    ScenarioRunResult result =
+        serveTrace(policy, merged.trace, truth, serving);
     cluster_->clearShape();
-
-    if (metrics) {
-        if (!metricsFile_) {
-            metricsFile_ =
-                std::make_unique<std::ofstream>(config_.metricsOut);
-            if (!*metricsFile_)
-                fatal("cannot open " + config_.metricsOut);
-        }
-        *metricsFile_ << metrics->toJson(result.summary.run.policy,
-                                         result.summary.run.trace)
-                      << '\n';
-        metricsFile_->flush();
-        result.metrics = std::move(metrics);
-    }
     return result;
 }
 

@@ -126,9 +126,11 @@ struct ExperimentConfig
 
     /**
      * Per-query trace output (--trace-out): when non-empty, every
-     * run appends one JSONL record per executed query (aggregator
-     * timeline + per-ISN spans, schema in EXPERIMENTS.md) to this
-     * file, and RunResult::trace carries the in-memory records.
+     * run — replay, serving or scenario — appends one JSONL record
+     * per executed query (aggregator timeline + per-ISN spans, schema
+     * in EXPERIMENTS.md) to this file, and the result's `trace`
+     * carries the in-memory records. Cache hits and shed queries
+     * never reach the engine, so they leave no record.
      * Empty (default) leaves the tracer detached: the replay is
      * byte-identical to an uninstrumented build.
      */
@@ -160,9 +162,11 @@ struct ExperimentConfig
     /**
      * Serving-mode front-end knobs (--serve, --shed-backlog-ms,
      * --degrade-backlog-ms, --overload-budget-ms, --result-cache,
-     * --postings-cache). Disabled by default: runServing() is the only
-     * consumer, run() never constructs the front-end, so plain replay
-     * stays byte-identical whatever these are set to.
+     * --postings-cache). runServing() honours them as set, `enabled`
+     * included (off by default: a transparent front-end, i.e. replay
+     * at the re-timed arrivals). run() ignores them and always serves
+     * with the front-end off, so plain replay stays byte-identical
+     * whatever these are set to; runScenario() turns it on.
      */
     ServingConfig serving;
 
@@ -208,29 +212,28 @@ struct RunResult
     std::shared_ptr<const MetricsRegistry> metrics;
 };
 
-/** One policy's serving-mode output. */
+/**
+ * One policy's serving-mode or scenario output. In a scenario the
+ * summary's tenants vector carries the per-tenant rollups (latency
+ * percentiles, SLO attainment, shed rate, quality, energy).
+ */
 struct ServingRunResult
 {
     ServingSummary summary;
     std::vector<ServingMeasurement> measurements;
 
-    /** The run's metrics registry (null unless metricsOut was set). */
-    std::shared_ptr<const MetricsRegistry> metrics;
-};
-
-/**
- * One policy's scenario output. The summary's tenants vector carries
- * the per-tenant rollups (latency percentiles, SLO attainment, shed
- * rate, quality, energy).
- */
-struct ScenarioRunResult
-{
-    ServingSummary summary;
-    std::vector<ServingMeasurement> measurements;
+    /**
+     * Per-query trace records of the executed queries (null unless
+     * traceOut was set); cache hits and shed queries leave none.
+     */
+    std::shared_ptr<const QueryTracer> trace;
 
     /** The run's metrics registry (null unless metricsOut was set). */
     std::shared_ptr<const MetricsRegistry> metrics;
 };
+
+/** runScenario()'s name for the same result. */
+using ScenarioRunResult = ServingRunResult;
 
 /**
  * Owns and lazily builds the full stack. Heavy pieces (corpus, index,
@@ -252,7 +255,7 @@ class Experiment
 
     /**
      * Instantiate a retrieval strategy by name: exhaustive, taat,
-     * maxscore, wand. Fatal on an unknown name.
+     * maxscore, wand, bmw, bmm. Fatal on an unknown name.
      */
     static std::unique_ptr<Evaluator>
     makeEvaluator(const std::string &name);
@@ -279,7 +282,8 @@ class Experiment
 
     /**
      * Replay a flavor's evaluation trace under a policy, resetting
-     * cluster and policy state first. Fills the summary including
+     * cluster and policy state first: ServingFrontEnd::serve with the
+     * front-end off and a single tenant. Fills the summary including
      * energy/power over the replay window.
      */
     RunResult run(Policy &policy, TraceFlavor flavor);
@@ -289,7 +293,8 @@ class Experiment
 
     /**
      * Serve a flavor's evaluation trace through the serving front-end
-     * (admission control, caches, shedding; config_.serving) at an
+     * (admission control, caches, shedding; config_.serving, which is
+     * honoured as set — with `enabled` off this is replay) at an
      * offered Poisson rate of @p offeredQps. The trace is re-timed
      * (serve/arrivals.h) so query content — and therefore the cached
      * ground truth — matches replay mode exactly; only arrivals move.
@@ -319,6 +324,17 @@ class Experiment
                                   const ScenarioConfig &scenario);
 
   private:
+    /**
+     * The one driver behind run(), runServing() and runScenario():
+     * attach the configured tracer and metrics hooks, serve @p trace
+     * through a front-end built from @p serving, detach, and append
+     * the run's metrics line. Every record moves out of the front-end.
+     */
+    ServingRunResult
+    serveTrace(Policy &policy, const QueryTrace &trace,
+               const std::vector<std::vector<ScoredDoc>> &truth,
+               const ServingConfig &serving);
+
     ExperimentConfig config_;
     std::unique_ptr<Evaluator> evaluator_;
     std::unique_ptr<Corpus> corpus_;

@@ -1,7 +1,6 @@
 #include "metrics/run_stats.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 
 #include "stats/summary.h"
@@ -9,113 +8,102 @@
 
 namespace cottage {
 
+RunAccumulator::RunAccumulator(std::size_t expected)
+{
+    latencies_.reserve(expected);
+}
+
+void
+RunAccumulator::add(const QueryMeasurement &m)
+{
+    latencies_.push_back(m.latencySeconds);
+    precision_.add(m.precisionAtK);
+    ndcg_.add(m.ndcgAtK);
+    isnsUsed_.add(static_cast<double>(m.isnsUsed));
+    isnsBoosted_.add(static_cast<double>(m.isnsBoosted));
+    docsSearched_.add(static_cast<double>(m.docsSearched));
+    docsSkipped_.add(static_cast<double>(m.docsSkipped));
+    blocksDecoded_.add(static_cast<double>(m.blocksDecoded));
+    blocksSkipped_.add(static_cast<double>(m.blocksSkipped));
+    completedFraction_.add(m.completedFraction);
+    if (m.budgetSeconds != noBudget)
+        budgets_.add(m.budgetSeconds);
+    truncatedResponses_ += m.isnsUsed - m.isnsCompleted;
+    partialResponses_ += m.partialResponses;
+}
+
 RunSummary
-summarizeRun(const std::string &policy, const std::string &trace,
-             const std::vector<QueryMeasurement> &measurements)
+RunAccumulator::finish(const std::string &policy, const std::string &trace)
 {
     RunSummary summary;
     summary.policy = policy;
     summary.trace = trace;
-    summary.queries = measurements.size();
-    if (measurements.empty())
+    summary.queries = latencies_.size();
+    if (latencies_.empty())
         return summary;
 
-    std::vector<double> latencies;
-    latencies.reserve(measurements.size());
-    RunningStat precision;
-    RunningStat ndcg;
-    RunningStat isnsUsed;
-    RunningStat isnsBoosted;
-    RunningStat docsSearched;
-    RunningStat docsSkipped;
-    RunningStat blocksDecoded;
-    RunningStat blocksSkipped;
-    RunningStat budgets;
-    RunningStat completedFraction;
-    for (const QueryMeasurement &m : measurements) {
-        latencies.push_back(m.latencySeconds);
-        precision.add(m.precisionAtK);
-        ndcg.add(m.ndcgAtK);
-        isnsUsed.add(static_cast<double>(m.isnsUsed));
-        isnsBoosted.add(static_cast<double>(m.isnsBoosted));
-        docsSearched.add(static_cast<double>(m.docsSearched));
-        docsSkipped.add(static_cast<double>(m.docsSkipped));
-        blocksDecoded.add(static_cast<double>(m.blocksDecoded));
-        blocksSkipped.add(static_cast<double>(m.blocksSkipped));
-        completedFraction.add(m.completedFraction);
-        if (m.budgetSeconds != noBudget)
-            budgets.add(m.budgetSeconds);
-        summary.truncatedResponses +=
-            m.isnsUsed - m.isnsCompleted;
-        summary.partialResponses += m.partialResponses;
-    }
+    // Sorting in place keeps finish() repeatable: the mean sums the
+    // sorted series, so it never depends on arrival order.
+    std::vector<double> &latencies = latencies_;
     std::sort(latencies.begin(), latencies.end(), std::less<double>());
     summary.avgLatencySeconds = mean(latencies);
     summary.p50LatencySeconds = percentileSorted(latencies, 0.50);
     summary.p95LatencySeconds = percentileSorted(latencies, 0.95);
     summary.p99LatencySeconds = percentileSorted(latencies, 0.99);
     summary.maxLatencySeconds = latencies.back();
-    summary.avgPrecision = precision.mean();
-    summary.avgNdcg = ndcg.mean();
-    summary.avgIsnsUsed = isnsUsed.mean();
-    summary.avgIsnsBoosted = isnsBoosted.mean();
-    summary.avgDocsSearched = docsSearched.mean();
-    summary.avgDocsSkipped = docsSkipped.mean();
-    summary.avgBlocksDecoded = blocksDecoded.mean();
-    summary.avgBlocksSkipped = blocksSkipped.mean();
-    summary.avgBudgetSeconds = budgets.mean();
-    summary.avgCompletedFraction = completedFraction.mean();
+    summary.avgPrecision = precision_.mean();
+    summary.avgNdcg = ndcg_.mean();
+    summary.avgIsnsUsed = isnsUsed_.mean();
+    summary.avgIsnsBoosted = isnsBoosted_.mean();
+    summary.avgDocsSearched = docsSearched_.mean();
+    summary.avgDocsSkipped = docsSkipped_.mean();
+    summary.avgBlocksDecoded = blocksDecoded_.mean();
+    summary.avgBlocksSkipped = blocksSkipped_.mean();
+    summary.avgBudgetSeconds = budgets_.mean();
+    summary.avgCompletedFraction = completedFraction_.mean();
+    summary.truncatedResponses = truncatedResponses_;
+    summary.partialResponses = partialResponses_;
     return summary;
+}
+
+RunSummary
+summarizeRun(const std::string &policy, const std::string &trace,
+             const std::vector<QueryMeasurement> &measurements)
+{
+    RunAccumulator accumulator(measurements.size());
+    for (const QueryMeasurement &m : measurements)
+        accumulator.add(m);
+    return accumulator.finish(policy, trace);
 }
 
 std::string
 toJson(const RunSummary &s)
 {
-    std::string out = "{";
-    const auto field = [&out](const char *key, const std::string &value,
-                              bool quote) {
-        if (out.size() > 1)
-            out += ",";
-        out += "\"";
-        out += key;
-        out += "\":";
-        if (quote)
-            out += jsonQuote(value);
-        else
-            out += value;
-    };
-    const auto num = [](double v) {
-        char buffer[64];
-        std::snprintf(buffer, sizeof(buffer), "%.9g", v);
-        return std::string(buffer);
-    };
-    field("policy", s.policy, true);
-    field("trace", s.trace, true);
-    field("queries", num(static_cast<double>(s.queries)), false);
-    field("avg_latency_s", num(s.avgLatencySeconds), false);
-    field("p50_latency_s", num(s.p50LatencySeconds), false);
-    field("p95_latency_s", num(s.p95LatencySeconds), false);
-    field("p99_latency_s", num(s.p99LatencySeconds), false);
-    field("max_latency_s", num(s.maxLatencySeconds), false);
-    field("avg_precision", num(s.avgPrecision), false);
-    field("avg_ndcg", num(s.avgNdcg), false);
-    field("avg_isns_used", num(s.avgIsnsUsed), false);
-    field("avg_isns_boosted", num(s.avgIsnsBoosted), false);
-    field("avg_docs_searched", num(s.avgDocsSearched), false);
-    field("avg_docs_skipped", num(s.avgDocsSkipped), false);
-    field("avg_blocks_decoded", num(s.avgBlocksDecoded), false);
-    field("avg_blocks_skipped", num(s.avgBlocksSkipped), false);
-    field("truncated_responses",
-          num(static_cast<double>(s.truncatedResponses)), false);
-    field("partial_responses",
-          num(static_cast<double>(s.partialResponses)), false);
-    field("avg_completed_fraction", num(s.avgCompletedFraction), false);
-    field("avg_budget_s", num(s.avgBudgetSeconds), false);
-    field("energy_j", num(s.energyJoules), false);
-    field("duration_s", num(s.durationSeconds), false);
-    field("avg_power_w", num(s.avgPowerWatts), false);
-    out += "}";
-    return out;
+    return JsonObject()
+        .text("policy", s.policy)
+        .text("trace", s.trace)
+        .number("queries", uint64_t{s.queries})
+        .number("avg_latency_s", s.avgLatencySeconds)
+        .number("p50_latency_s", s.p50LatencySeconds)
+        .number("p95_latency_s", s.p95LatencySeconds)
+        .number("p99_latency_s", s.p99LatencySeconds)
+        .number("max_latency_s", s.maxLatencySeconds)
+        .number("avg_precision", s.avgPrecision)
+        .number("avg_ndcg", s.avgNdcg)
+        .number("avg_isns_used", s.avgIsnsUsed)
+        .number("avg_isns_boosted", s.avgIsnsBoosted)
+        .number("avg_docs_searched", s.avgDocsSearched)
+        .number("avg_docs_skipped", s.avgDocsSkipped)
+        .number("avg_blocks_decoded", s.avgBlocksDecoded)
+        .number("avg_blocks_skipped", s.avgBlocksSkipped)
+        .number("truncated_responses", s.truncatedResponses)
+        .number("partial_responses", s.partialResponses)
+        .number("avg_completed_fraction", s.avgCompletedFraction)
+        .number("avg_budget_s", s.avgBudgetSeconds)
+        .number("energy_j", s.energyJoules)
+        .number("duration_s", s.durationSeconds)
+        .number("avg_power_w", s.avgPowerWatts)
+        .str();
 }
 
 std::vector<double>

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "engine/query_plan.h"
+#include "stats/summary.h"
 
 namespace cottage {
 
@@ -80,6 +81,37 @@ struct RunSummary
 
     /** Average package power over the window (idle + busy), watts. */
     double avgPowerWatts = 0.0;
+};
+
+/**
+ * summarizeRun as measurements arrive: add() each in arrival order,
+ * then finish() — byte-identical, without a second copy of the stream.
+ */
+class RunAccumulator
+{
+  public:
+    /** @param expected Queries the run will add (a reserve hint). */
+    explicit RunAccumulator(std::size_t expected = 0);
+
+    void add(const QueryMeasurement &m);
+
+    /** The summary so far; energy/duration/power as summarizeRun. */
+    RunSummary finish(const std::string &policy, const std::string &trace);
+
+  private:
+    std::vector<double> latencies_;
+    RunningStat precision_;
+    RunningStat ndcg_;
+    RunningStat isnsUsed_;
+    RunningStat isnsBoosted_;
+    RunningStat docsSearched_;
+    RunningStat docsSkipped_;
+    RunningStat blocksDecoded_;
+    RunningStat blocksSkipped_;
+    RunningStat budgets_;
+    RunningStat completedFraction_;
+    uint64_t truncatedResponses_ = 0;
+    uint64_t partialResponses_ = 0;
 };
 
 /**

@@ -2,24 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace cottage {
-
-namespace {
-
-std::string
-num(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-    return std::string(buffer);
-}
-
-} // namespace
 
 void
 MetricsRegistry::incr(const std::string &name, uint64_t delta)
@@ -125,7 +112,7 @@ MetricsRegistry::toJson(const std::string &policy,
             out += ",";
         first = false;
         out += jsonQuote(name) + ":" +
-               num(static_cast<double>(value));
+               jsonNumber(static_cast<double>(value));
     }
     out += "}";
 
@@ -136,40 +123,41 @@ MetricsRegistry::toJson(const std::string &policy,
             out += ",";
         first = false;
         out += jsonQuote(name) + ":{";
-        out += "\"lo\":" + num(histogram.binLow(0));
-        out += ",\"hi\":" + num(histogram.binHigh(histogram.bins() - 1));
+        out += "\"lo\":" + jsonNumber(histogram.binLow(0));
+        out += ",\"hi\":" +
+               jsonNumber(histogram.binHigh(histogram.bins() - 1));
         out += ",\"total\":" +
-               num(static_cast<double>(histogram.totalCount()));
+               jsonNumber(static_cast<double>(histogram.totalCount()));
         out += ",\"counts\":[";
         for (std::size_t b = 0; b < histogram.bins(); ++b) {
             if (b > 0)
                 out += ",";
-            out += num(static_cast<double>(histogram.count(b)));
+            out += jsonNumber(static_cast<double>(histogram.count(b)));
         }
         out += "]}";
     }
     out += "}";
 
     out += ",\"windows\":{";
-    out += "\"window_s\":" + num(windowSeconds_);
-    out += ",\"idle_w\":" + num(idleWatts_);
+    out += "\"window_s\":" + jsonNumber(windowSeconds_);
+    out += ",\"idle_w\":" + jsonNumber(idleWatts_);
     out += ",\"energy_j\":[";
     for (std::size_t w = 0; w < windows_.size(); ++w) {
         if (w > 0)
             out += ",";
-        out += num(windows_[w].energyJoules);
+        out += jsonNumber(windows_[w].energyJoules);
     }
     out += "],\"queries\":[";
     for (std::size_t w = 0; w < windows_.size(); ++w) {
         if (w > 0)
             out += ",";
-        out += num(static_cast<double>(windows_[w].queries));
+        out += jsonNumber(static_cast<double>(windows_[w].queries));
     }
     out += "],\"power_w\":[";
     for (std::size_t w = 0; w < windows_.size(); ++w) {
         if (w > 0)
             out += ",";
-        out += num(windowPowerLocked(w));
+        out += jsonNumber(windowPowerLocked(w));
     }
     out += "]}}";
     return out;

@@ -1,27 +1,10 @@
 #include "obs/query_tracer.h"
 
-#include <cstdio>
 #include <ostream>
 
 #include "util/string_util.h"
 
 namespace cottage {
-
-namespace {
-
-/**
- * Shortest round-trippable double representation, matching the
- * run-summary JSON emitter so the two outputs diff cleanly.
- */
-std::string
-num(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.9g", value);
-    return std::string(buffer);
-}
-
-} // namespace
 
 void
 QueryTracer::record(QueryTraceRecord record)
@@ -67,45 +50,46 @@ QueryTracer::toJsonLine(const QueryTraceRecord &record,
                         const std::string &trace)
 {
     std::string out = "{";
-    out += "\"query\":" + num(static_cast<double>(record.id));
-    out += ",\"tenant\":" + num(static_cast<double>(record.tenant));
+    out += "\"query\":" + jsonNumber(static_cast<double>(record.id));
+    out += ",\"tenant\":" + jsonNumber(static_cast<double>(record.tenant));
     out += ",\"policy\":" + jsonQuote(policy);
     out += ",\"trace\":" + jsonQuote(trace);
-    out += ",\"arrival_s\":" + num(record.arrivalSeconds);
-    out += ",\"dispatch_s\":" + num(record.dispatchSeconds);
+    out += ",\"arrival_s\":" + jsonNumber(record.arrivalSeconds);
+    out += ",\"dispatch_s\":" + jsonNumber(record.dispatchSeconds);
     out += ",\"budget_s\":";
-    out += record.budgetSeconds < 0.0 ? "null" : num(record.budgetSeconds);
-    out += ",\"decision_s\":" + num(record.decisionOverheadSeconds);
-    out += ",\"rtt_s\":" + num(record.rttSeconds);
-    out += ",\"waited_s\":" + num(record.waitedSeconds);
-    out += ",\"merge_s\":" + num(record.mergeSeconds);
-    out += ",\"latency_s\":" + num(record.latencySeconds);
+    out += record.budgetSeconds < 0.0 ? "null"
+                                      : jsonNumber(record.budgetSeconds);
+    out += ",\"decision_s\":" + jsonNumber(record.decisionOverheadSeconds);
+    out += ",\"rtt_s\":" + jsonNumber(record.rttSeconds);
+    out += ",\"waited_s\":" + jsonNumber(record.waitedSeconds);
+    out += ",\"merge_s\":" + jsonNumber(record.mergeSeconds);
+    out += ",\"latency_s\":" + jsonNumber(record.latencySeconds);
     out += ",\"isns\":[";
     for (std::size_t i = 0; i < record.isns.size(); ++i) {
         const IsnSpan &span = record.isns[i];
         if (i > 0)
             out += ",";
-        out += "{\"isn\":" + num(static_cast<double>(span.isn));
-        out += ",\"queue_wait_s\":" + num(span.queueWaitSeconds);
-        out += ",\"start_s\":" + num(span.serviceStartSeconds);
-        out += ",\"finish_s\":" + num(span.serviceFinishSeconds);
-        out += ",\"busy_s\":" + num(span.busySeconds);
-        out += ",\"cycles\":" + num(span.cycles);
-        out += ",\"freq_ghz\":" + num(span.freqGhz);
-        out += ",\"cores\":" + num(static_cast<double>(span.cores));
+        out += "{\"isn\":" + jsonNumber(static_cast<double>(span.isn));
+        out += ",\"queue_wait_s\":" + jsonNumber(span.queueWaitSeconds);
+        out += ",\"start_s\":" + jsonNumber(span.serviceStartSeconds);
+        out += ",\"finish_s\":" + jsonNumber(span.serviceFinishSeconds);
+        out += ",\"busy_s\":" + jsonNumber(span.busySeconds);
+        out += ",\"cycles\":" + jsonNumber(span.cycles);
+        out += ",\"freq_ghz\":" + jsonNumber(span.freqGhz);
+        out += ",\"cores\":" + jsonNumber(static_cast<double>(span.cores));
         out += ",\"boosted\":";
         out += span.boosted ? "true" : "false";
-        out += ",\"energy_j\":" + num(span.energyJoules);
+        out += ",\"energy_j\":" + jsonNumber(span.energyJoules);
         out += ",\"completed\":";
         out += span.completed ? "true" : "false";
-        out += ",\"fraction\":" + num(span.completedFraction);
-        out += ",\"docs\":" + num(static_cast<double>(span.docsScored));
+        out += ",\"fraction\":" + jsonNumber(span.completedFraction);
+        out += ",\"docs\":" + jsonNumber(static_cast<double>(span.docsScored));
         out += ",\"docs_skipped\":" +
-               num(static_cast<double>(span.docsSkipped));
+               jsonNumber(static_cast<double>(span.docsSkipped));
         out += ",\"blocks_decoded\":" +
-               num(static_cast<double>(span.blocksDecoded));
+               jsonNumber(static_cast<double>(span.blocksDecoded));
         out += ",\"blocks_skipped\":" +
-               num(static_cast<double>(span.blocksSkipped));
+               jsonNumber(static_cast<double>(span.blocksSkipped));
         out += ",\"partial\":";
         out += span.partial ? "true" : "false";
         out += "}";

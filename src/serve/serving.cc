@@ -1,7 +1,6 @@
 #include "serve/serving.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 
 #include "stats/summary.h"
@@ -83,12 +82,9 @@ ServingFrontEnd::serve(Policy &policy, const QueryTrace &trace,
     if (metrics != nullptr)
         engine_->setMetrics(metrics);
 
-    const NetworkModel &network = engine_->cluster().network();
     ServingSummary summary;
     summary.offered = trace.size();
-
-    std::vector<QueryMeasurement> responses;
-    responses.reserve(trace.size());
+    RunAccumulator responses(trace.size());
 
     // Per-tenant accumulation (multi-tenant scenarios only). Latencies
     // are collected raw so the rollup can report p99.9 and the SLO's
@@ -109,6 +105,12 @@ ServingFrontEnd::serve(Policy &policy, const QueryTrace &trace,
     };
     std::vector<TenantAccumulator> tenantAccs(config_.tenants.size());
 
+    // Replay determinism contract: queries advance the cluster-sim
+    // strictly in arrival order (plans and admission read backlog
+    // state left by earlier queries), while each execute() fans its
+    // per-shard retrieval out over the pool. Parallelism lives entirely
+    // inside the pure retrieval phase, so the measured stream is
+    // bit-identical at any thread count (tests/test_parallel.cc).
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const Query &query = trace.query(i);
         uint32_t tenantIndex = 0;
@@ -118,24 +120,23 @@ ServingFrontEnd::serve(Policy &policy, const QueryTrace &trace,
             tenantIndex = query.tenant;
         }
         ServingMeasurement record;
-        const std::string key = resultCacheKey(query);
+        record.measurement = QueryMeasurement(query);
+        QueryMeasurement &m = record.measurement;
+        // Busy energy this query's execution drew (zero unless it ran).
+        double energyJoules = 0.0;
 
-        if (const CachedResult *hit = resultCache_.find(key)) {
-            QueryMeasurement &m = record.measurement;
-            m.id = query.id;
-            m.arrivalSeconds = query.arrivalSeconds;
-            m.tenant = query.tenant;
+        std::string key;
+        const CachedResult *hit = nullptr;
+        if (config_.enabled) {
+            key = resultCacheKey(query);
+            hit = resultCache_.find(key);
+        }
+        if (hit != nullptr) {
             m.latencySeconds = config_.cacheHitLatencySeconds;
             m.precisionAtK = hit->precisionAtK;
             m.ndcgAtK = hit->ndcgAtK;
             m.results = hit->results;
             record.outcome = ServingOutcome::CacheHit;
-            ++summary.cacheHits;
-            if (metrics != nullptr) {
-                metrics->incr("serve_cache_hits");
-                if (metrics->windowSeconds() > 0.0)
-                    metrics->addWindowSample(query.arrivalSeconds, 0.0);
-            }
         } else {
             QueryPlan plan = policy.plan(query, *engine_);
             if (multiTenant) {
@@ -150,100 +151,93 @@ ServingFrontEnd::serve(Policy &policy, const QueryTrace &trace,
                     plan.budgetSeconds > slo.deadlineSeconds)
                     plan.budgetSeconds = slo.deadlineSeconds;
             }
-            plan.decisionOverheadSeconds +=
-                statsCache_.probe(query.terms);
-            // Mirror the engine's dispatch instant: decision overhead
-            // plus the outbound half of the round trip.
-            const double dispatchSeconds = query.arrivalSeconds +
-                                           plan.decisionOverheadSeconds +
-                                           0.5 * network.rttSeconds;
-            const AdmissionDecision decision = applyAdmission(
-                plan, engine_->cluster(), dispatchSeconds,
-                config_.admission);
-            record.worstBacklogSeconds = decision.worstBacklogSeconds;
-            record.isnsShed = decision.isnsShed;
-            record.isnsUnavailable = decision.isnsUnavailable;
-            summary.isnsShed += decision.isnsShed;
-            summary.isnsUnavailable += decision.isnsUnavailable;
-            if (metrics != nullptr && decision.isnsShed > 0)
-                metrics->incr("serve_isns_shed", decision.isnsShed);
-            if (metrics != nullptr && decision.isnsUnavailable > 0)
-                metrics->incr("serve_isns_unavailable",
-                              decision.isnsUnavailable);
+            AdmissionDecision decision;
+            if (config_.enabled) {
+                plan.decisionOverheadSeconds +=
+                    statsCache_.probe(query.terms);
+                decision = applyAdmission(
+                    plan, engine_->cluster(),
+                    engine_->dispatchSeconds(query, plan),
+                    config_.admission);
+                record.worstBacklogSeconds = decision.worstBacklogSeconds;
+                record.isnsShed = decision.isnsShed;
+                record.isnsUnavailable = decision.isnsUnavailable;
+            }
 
             if (decision.shedQuery) {
-                QueryMeasurement &m = record.measurement;
-                m.id = query.id;
-                m.arrivalSeconds = query.arrivalSeconds;
-                m.tenant = query.tenant;
-                // The aggregator rejects after planning; the client
-                // still pays the decision and the round trip.
-                m.latencySeconds = plan.decisionOverheadSeconds +
-                                   network.rttSeconds;
+                m.latencySeconds = engine_->rejectLatencySeconds(plan);
                 record.outcome = ServingOutcome::Shed;
-                ++summary.shedQueries;
-                if (metrics != nullptr) {
-                    metrics->incr("serve_shed_queries");
-                    if (metrics->windowSeconds() > 0.0)
-                        metrics->addWindowSample(query.arrivalSeconds,
-                                                 0.0);
-                }
             } else {
                 const double energyBefore =
                     engine_->cluster().totalEnergyJoules();
                 record.measurement =
                     engine_->execute(query, plan, groundTruth[i]);
                 policy.observe(record.measurement);
-                if (decision.degraded) {
-                    record.outcome = ServingOutcome::Degraded;
-                    ++summary.degraded;
-                    if (metrics != nullptr)
-                        metrics->incr("serve_degraded");
-                } else {
-                    record.outcome = ServingOutcome::Served;
-                }
-                if (cacheable(record.measurement, decision))
-                    resultCache_.insert(
-                        key, CachedResult{record.measurement.results,
-                                          record.measurement.precisionAtK,
-                                          record.measurement.ndcgAtK});
-                const double energyDelta =
+                energyJoules =
                     engine_->cluster().totalEnergyJoules() - energyBefore;
-                if (multiTenant)
-                    tenantAccs[tenantIndex].energyJoules += energyDelta;
-                if (metrics != nullptr &&
-                    metrics->windowSeconds() > 0.0)
-                    metrics->addWindowSample(query.arrivalSeconds,
-                                             energyDelta);
+                record.outcome = decision.degraded
+                                     ? ServingOutcome::Degraded
+                                     : ServingOutcome::Served;
+                if (config_.enabled && cacheable(m, decision))
+                    resultCache_.insert(
+                        key, CachedResult{m.results, m.precisionAtK,
+                                          m.ndcgAtK});
             }
         }
-        if (multiTenant) {
-            TenantAccumulator &acc = tenantAccs[tenantIndex];
-            const QueryMeasurement &m = record.measurement;
+
+        TenantAccumulator *acc =
+            multiTenant ? &tenantAccs[tenantIndex] : nullptr;
+        summary.isnsShed += record.isnsShed;
+        summary.isnsUnavailable += record.isnsUnavailable;
+        const char *outcomeCounter = nullptr;
+        switch (record.outcome) {
+        case ServingOutcome::CacheHit:
+            ++summary.cacheHits;
+            if (acc != nullptr)
+                ++acc->cacheHits;
+            outcomeCounter = "serve_cache_hits";
+            break;
+        case ServingOutcome::Degraded:
+            ++summary.degraded;
+            if (acc != nullptr)
+                ++acc->degraded;
+            outcomeCounter = "serve_degraded";
+            break;
+        case ServingOutcome::Shed:
+            ++summary.shedQueries;
+            if (acc != nullptr)
+                ++acc->shed;
+            outcomeCounter = "serve_shed_queries";
+            break;
+        case ServingOutcome::Served:
+            break;
+        }
+        if (metrics != nullptr) {
+            if (outcomeCounter != nullptr)
+                metrics->incr(outcomeCounter);
+            if (record.isnsShed > 0)
+                metrics->incr("serve_isns_shed", record.isnsShed);
+            if (record.isnsUnavailable > 0)
+                metrics->incr("serve_isns_unavailable",
+                              record.isnsUnavailable);
+            if (metrics->windowSeconds() > 0.0)
+                metrics->addWindowSample(query.arrivalSeconds,
+                                         energyJoules);
+        }
+
+        if (acc != nullptr) {
             const TenantSlo &slo = config_.tenants[tenantIndex];
-            ++acc.offered;
-            acc.latencies.push_back(m.latencySeconds);
-            acc.latency.add(m.latencySeconds);
-            acc.precision.add(m.precisionAtK);
-            acc.ndcg.add(m.ndcgAtK);
-            switch (record.outcome) {
-            case ServingOutcome::CacheHit:
-                ++acc.cacheHits;
-                break;
-            case ServingOutcome::Degraded:
-                ++acc.degraded;
-                break;
-            case ServingOutcome::Shed:
-                ++acc.shed;
-                break;
-            case ServingOutcome::Served:
-                break;
-            }
+            ++acc->offered;
+            acc->latencies.push_back(m.latencySeconds);
+            acc->latency.add(m.latencySeconds);
+            acc->precision.add(m.precisionAtK);
+            acc->ndcg.add(m.ndcgAtK);
+            acc->energyJoules += energyJoules;
             // A shed query never meets the SLO; an answered one meets
             // it when it beat the deadline (trivially, with none set).
             if (record.outcome != ServingOutcome::Shed &&
                 m.latencySeconds <= slo.deadlineSeconds)
-                ++acc.inDeadline;
+                ++acc->inDeadline;
             if (metrics != nullptr) {
                 metrics->incr("serve_tenant_offered_" + slo.name);
                 if (record.outcome == ServingOutcome::Shed)
@@ -254,7 +248,7 @@ ServingFrontEnd::serve(Policy &policy, const QueryTrace &trace,
                     .add(m.latencySeconds);
             }
         }
-        responses.push_back(record.measurement);
+        responses.add(m);
         measurements_.push_back(std::move(record));
     }
 
@@ -278,10 +272,10 @@ ServingFrontEnd::serve(Policy &policy, const QueryTrace &trace,
         summary.zeroProgressResponses +=
             cluster.isn(id).requestsZeroProgress();
 
-    summary.run = summarizeRun(policy.name(), trace.name(), responses);
+    summary.run = responses.finish(policy.name(), trace.name());
     summary.run.energyJoules = cluster.totalEnergyJoules();
-    // Same window rule as the replay harness: the run lasts until the
-    // last ISN drains, not just until the last arrival.
+    // The run lasts until the last ISN drains, not just until the last
+    // arrival.
     double window = trace.durationSeconds();
     for (ShardId id = 0; id < cluster.numIsns(); ++id) {
         const double drain = cluster.isn(id).busyUntilSeconds();
@@ -348,30 +342,34 @@ ServingFrontEnd::serve(Policy &policy, const QueryTrace &trace,
         }
     }
 
+    // The front-end's own counters exist only while it is enabled: a
+    // replay's metrics carry the engine's counters alone.
     if (metrics != nullptr) {
-        metrics->incr("serve_offered", summary.offered);
-        metrics->incr("serve_completed", summary.completed);
-        for (const TenantSummary &tenant : summary.tenants) {
-            metrics->incr("serve_tenant_completed_" + tenant.tenant,
-                          tenant.completed);
-            metrics->incr("serve_tenant_degraded_" + tenant.tenant,
-                          tenant.degraded);
-            metrics->incr("serve_tenant_cache_hits_" + tenant.tenant,
-                          tenant.cacheHits);
+        if (config_.enabled) {
+            metrics->incr("serve_offered", summary.offered);
+            metrics->incr("serve_completed", summary.completed);
+            for (const TenantSummary &tenant : summary.tenants) {
+                metrics->incr("serve_tenant_completed_" + tenant.tenant,
+                              tenant.completed);
+                metrics->incr("serve_tenant_degraded_" + tenant.tenant,
+                              tenant.degraded);
+                metrics->incr("serve_tenant_cache_hits_" + tenant.tenant,
+                              tenant.cacheHits);
+            }
+            metrics->incr("serve_result_cache_hits",
+                          summary.resultCacheHits);
+            metrics->incr("serve_result_cache_misses",
+                          summary.resultCacheMisses);
+            metrics->incr("serve_result_cache_evictions",
+                          summary.resultCacheEvictions);
+            metrics->incr("serve_stats_cache_hits", summary.statsCacheHits);
+            metrics->incr("serve_stats_cache_misses",
+                          summary.statsCacheMisses);
+            metrics->incr("serve_stats_cache_evictions",
+                          summary.statsCacheEvictions);
+            metrics->incr("serve_zero_progress_responses",
+                          summary.zeroProgressResponses);
         }
-        metrics->incr("serve_result_cache_hits",
-                      summary.resultCacheHits);
-        metrics->incr("serve_result_cache_misses",
-                      summary.resultCacheMisses);
-        metrics->incr("serve_result_cache_evictions",
-                      summary.resultCacheEvictions);
-        metrics->incr("serve_stats_cache_hits", summary.statsCacheHits);
-        metrics->incr("serve_stats_cache_misses",
-                      summary.statsCacheMisses);
-        metrics->incr("serve_stats_cache_evictions",
-                      summary.statsCacheEvictions);
-        metrics->incr("serve_zero_progress_responses",
-                      summary.zeroProgressResponses);
         engine_->setMetrics(previousMetrics);
     }
     return summary;
@@ -380,133 +378,83 @@ ServingFrontEnd::serve(Policy &policy, const QueryTrace &trace,
 std::string
 toJson(const ServingSummary &s)
 {
-    std::string out = "{";
-    const auto field = [&out](const char *key, const std::string &value,
-                              bool quote) {
-        if (out.size() > 1)
-            out += ",";
-        out += "\"";
-        out += key;
-        out += "\":";
-        if (quote)
-            out += jsonQuote(value);
-        else
-            out += value;
-    };
-    const auto num = [](double v) {
-        char buffer[64];
-        std::snprintf(buffer, sizeof(buffer), "%.9g", v);
-        return std::string(buffer);
-    };
-    field("policy", s.run.policy, true);
-    field("trace", s.run.trace, true);
-    field("offered", num(static_cast<double>(s.offered)), false);
-    field("completed", num(static_cast<double>(s.completed)), false);
-    field("cache_hits", num(static_cast<double>(s.cacheHits)), false);
-    field("degraded", num(static_cast<double>(s.degraded)), false);
-    field("shed_queries", num(static_cast<double>(s.shedQueries)),
-          false);
-    field("isns_shed", num(static_cast<double>(s.isnsShed)), false);
-    field("isns_unavailable",
-          num(static_cast<double>(s.isnsUnavailable)), false);
-    field("shed_rate", num(s.shedRate), false);
-    field("zero_progress_responses",
-          num(static_cast<double>(s.zeroProgressResponses)), false);
-    field("result_cache_hits",
-          num(static_cast<double>(s.resultCacheHits)), false);
-    field("result_cache_misses",
-          num(static_cast<double>(s.resultCacheMisses)), false);
-    field("result_cache_evictions",
-          num(static_cast<double>(s.resultCacheEvictions)), false);
-    field("result_cache_hit_rate", num(s.resultCacheHitRate), false);
-    field("stats_cache_hits",
-          num(static_cast<double>(s.statsCacheHits)), false);
-    field("stats_cache_misses",
-          num(static_cast<double>(s.statsCacheMisses)), false);
-    field("stats_cache_evictions",
-          num(static_cast<double>(s.statsCacheEvictions)), false);
-    field("stats_cache_hit_rate", num(s.statsCacheHitRate), false);
-    field("offered_qps", num(s.offeredQps), false);
-    field("achieved_qps", num(s.achievedQps), false);
-    field("avg_latency_s", num(s.run.avgLatencySeconds), false);
-    field("p50_latency_s", num(s.run.p50LatencySeconds), false);
-    field("p95_latency_s", num(s.run.p95LatencySeconds), false);
-    field("p99_latency_s", num(s.run.p99LatencySeconds), false);
-    field("max_latency_s", num(s.run.maxLatencySeconds), false);
-    field("avg_precision", num(s.run.avgPrecision), false);
-    field("avg_ndcg", num(s.run.avgNdcg), false);
-    field("avg_completed_fraction", num(s.run.avgCompletedFraction),
-          false);
-    field("truncated_responses",
-          num(static_cast<double>(s.run.truncatedResponses)), false);
-    field("partial_responses",
-          num(static_cast<double>(s.run.partialResponses)), false);
-    field("energy_j", num(s.run.energyJoules), false);
-    field("duration_s", num(s.run.durationSeconds), false);
-    field("avg_power_w", num(s.run.avgPowerWatts), false);
+    JsonObject json;
+    json.text("policy", s.run.policy)
+        .text("trace", s.run.trace)
+        .number("offered", s.offered)
+        .number("completed", s.completed)
+        .number("cache_hits", s.cacheHits)
+        .number("degraded", s.degraded)
+        .number("shed_queries", s.shedQueries)
+        .number("isns_shed", s.isnsShed)
+        .number("isns_unavailable", s.isnsUnavailable)
+        .number("shed_rate", s.shedRate)
+        .number("zero_progress_responses", s.zeroProgressResponses)
+        .number("result_cache_hits", s.resultCacheHits)
+        .number("result_cache_misses", s.resultCacheMisses)
+        .number("result_cache_evictions", s.resultCacheEvictions)
+        .number("result_cache_hit_rate", s.resultCacheHitRate)
+        .number("stats_cache_hits", s.statsCacheHits)
+        .number("stats_cache_misses", s.statsCacheMisses)
+        .number("stats_cache_evictions", s.statsCacheEvictions)
+        .number("stats_cache_hit_rate", s.statsCacheHitRate)
+        .number("offered_qps", s.offeredQps)
+        .number("achieved_qps", s.achievedQps)
+        .number("avg_latency_s", s.run.avgLatencySeconds)
+        .number("p50_latency_s", s.run.p50LatencySeconds)
+        .number("p95_latency_s", s.run.p95LatencySeconds)
+        .number("p99_latency_s", s.run.p99LatencySeconds)
+        .number("max_latency_s", s.run.maxLatencySeconds)
+        .number("avg_precision", s.run.avgPrecision)
+        .number("avg_ndcg", s.run.avgNdcg)
+        .number("avg_completed_fraction", s.run.avgCompletedFraction)
+        .number("truncated_responses", s.run.truncatedResponses)
+        .number("partial_responses", s.run.partialResponses)
+        .number("energy_j", s.run.energyJoules)
+        .number("duration_s", s.run.durationSeconds)
+        .number("avg_power_w", s.run.avgPowerWatts);
     // Only multi-tenant runs carry rollups; single-tenant serving JSON
     // stays byte-identical to what it was before tenants existed.
     if (!s.tenants.empty()) {
-        out += ",\"tenants\":[";
-        for (std::size_t t = 0; t < s.tenants.size(); ++t) {
-            if (t > 0)
-                out += ",";
-            out += toJson(s.tenants[t]);
+        std::string tenants = "[";
+        for (const TenantSummary &tenant : s.tenants) {
+            if (tenants.size() > 1)
+                tenants += ",";
+            tenants += toJson(tenant);
         }
-        out += "]";
+        json.raw("tenants", tenants + "]");
     }
-    out += "}";
-    return out;
+    return json.str();
 }
 
 std::string
 toJson(const TenantSummary &t)
 {
-    std::string out = "{";
-    const auto field = [&out](const char *key,
-                              const std::string &value, bool quote) {
-        if (out.size() > 1)
-            out += ",";
-        out += "\"";
-        out += key;
-        out += "\":";
-        if (quote)
-            out += jsonQuote(value);
-        else
-            out += value;
-    };
-    const auto num = [](double v) {
-        char buffer[64];
-        std::snprintf(buffer, sizeof(buffer), "%.9g", v);
-        return std::string(buffer);
-    };
-    field("tenant", t.tenant, true);
-    field("deadline_s",
-          t.deadlineSeconds == noBudget ? "null"
-                                        : num(t.deadlineSeconds),
-          false);
-    field("slo_percentile", num(t.latencyPercentile), false);
-    field("offered", num(static_cast<double>(t.offered)), false);
-    field("completed", num(static_cast<double>(t.completed)), false);
-    field("cache_hits", num(static_cast<double>(t.cacheHits)), false);
-    field("degraded", num(static_cast<double>(t.degraded)), false);
-    field("shed_queries", num(static_cast<double>(t.shedQueries)),
-          false);
-    field("shed_rate", num(t.shedRate), false);
-    field("avg_latency_s", num(t.avgLatencySeconds), false);
-    field("p50_latency_s", num(t.p50LatencySeconds), false);
-    field("p95_latency_s", num(t.p95LatencySeconds), false);
-    field("p99_latency_s", num(t.p99LatencySeconds), false);
-    field("p999_latency_s", num(t.p999LatencySeconds), false);
-    field("max_latency_s", num(t.maxLatencySeconds), false);
-    field("slo_latency_s", num(t.sloLatencySeconds), false);
-    field("slo_attainment", num(t.sloAttainment), false);
-    field("slo_met", t.sloMet ? "true" : "false", false);
-    field("avg_precision", num(t.avgPrecision), false);
-    field("avg_ndcg", num(t.avgNdcg), false);
-    field("energy_j", num(t.energyJoules), false);
-    out += "}";
-    return out;
+    return JsonObject()
+        .text("tenant", t.tenant)
+        .raw("deadline_s", t.deadlineSeconds == noBudget
+                               ? "null"
+                               : jsonNumber(t.deadlineSeconds))
+        .number("slo_percentile", t.latencyPercentile)
+        .number("offered", t.offered)
+        .number("completed", t.completed)
+        .number("cache_hits", t.cacheHits)
+        .number("degraded", t.degraded)
+        .number("shed_queries", t.shedQueries)
+        .number("shed_rate", t.shedRate)
+        .number("avg_latency_s", t.avgLatencySeconds)
+        .number("p50_latency_s", t.p50LatencySeconds)
+        .number("p95_latency_s", t.p95LatencySeconds)
+        .number("p99_latency_s", t.p99LatencySeconds)
+        .number("p999_latency_s", t.p999LatencySeconds)
+        .number("max_latency_s", t.maxLatencySeconds)
+        .number("slo_latency_s", t.sloLatencySeconds)
+        .number("slo_attainment", t.sloAttainment)
+        .raw("slo_met", t.sloMet ? "true" : "false")
+        .number("avg_precision", t.avgPrecision)
+        .number("avg_ndcg", t.avgNdcg)
+        .number("energy_j", t.energyJoules)
+        .str();
 }
 
 } // namespace cottage

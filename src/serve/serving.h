@@ -3,22 +3,26 @@
  * The online serving front-end: admission control, result/term-stats
  * caching and load shedding wrapped around DistributedEngine.
  *
- * Replay mode (the harness's default) measures policies on a fixed
- * open-loop trace and admits every query no matter how deep the queues
- * get. Serving mode models what a production aggregator does instead:
- * probe a merged-result cache, consult (and charge for) term-stats
- * fetches, let the policy plan, then run the admission ladder — degrade
- * budgets first, shed ISNs next, reject the query outright last — and
- * only then advance the cluster. The sustained-throughput bench sweeps
- * this loop over rising QPS to find the latency/QPS/power knee.
+ * ServingFrontEnd::serve is the harness's only per-query loop: every
+ * run — plain replay, a serving sweep, a multi-tenant scenario — is a
+ * call to it. With ServingConfig::enabled off (Experiment::run, or
+ * runServing on a config that leaves it off) the front-end is
+ * transparent: no result-cache probe, no term-stats charge, no
+ * admission ladder, so every query is planned, executed and observed
+ * in arrival order however deep the queues get — the paper's
+ * open-loop replay. Enabled, it models what a production aggregator
+ * does instead: probe a merged-result cache, consult (and charge for)
+ * term-stats fetches, let the policy plan, then run the admission
+ * ladder — degrade budgets first, shed ISNs next, reject the query
+ * outright last — and only then advance the cluster. The
+ * sustained-throughput bench sweeps this loop over rising QPS to find
+ * the latency/QPS/power knee.
  *
- * Hard contract: serving is a separate code path layered ON TOP of the
- * engine. With serving off, the harness never constructs this class,
- * so every measured byte of the existing replay path stays identical
- * (tests/test_serve.cc pins this alongside test_parallel's suites).
- * Within serving mode, all decisions derive from simulated time,
- * cluster state and explicit seeds — bit-identical at any host thread
- * count.
+ * Hard contract: with the front-end off, every measured byte equals a
+ * bare plan -> execute -> observe loop over the trace, whatever the
+ * other serving knobs are set to (tests/test_serve.cc pins this).
+ * Enabled, all decisions derive from simulated time, cluster state and
+ * explicit seeds — bit-identical at any host thread count.
  */
 
 #ifndef COTTAGE_SERVE_SERVING_H
@@ -26,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/distributed_engine.h"
@@ -106,7 +111,14 @@ struct TenantSummary
 /** Serving-mode knobs (harness flags --serve, --qps, --shed-*, ...). */
 struct ServingConfig
 {
-    /** Off by default: the replay path never sees this subsystem. */
+    /**
+     * Off (the default) makes the front-end transparent: serve() then
+     * replays the trace exactly as Experiment::run does, with no
+     * cache probe, term-stats charge or admission decision, whatever
+     * the cache and admission knobs below say. Experiment::run always
+     * serves with it off; runServing honours it; runScenario turns it
+     * on.
+     */
     bool enabled = false;
 
     /** Shed/degrade ladder thresholds. */
@@ -251,7 +263,8 @@ class ServingFrontEnd
      * the same base trace the truth was computed from — retimeTrace
      * keeps positions aligned). When @p metrics is non-null it is
      * attached to the engine for the run's duration and additionally
-     * receives the serve_* counters and the windowed power/QPS series.
+     * receives the windowed power/QPS series and, while the front-end
+     * is enabled, the serve_* counters.
      */
     ServingSummary serve(Policy &policy, const QueryTrace &trace,
                          const std::vector<std::vector<ScoredDoc>> &groundTruth,
@@ -261,6 +274,12 @@ class ServingFrontEnd
     const std::vector<ServingMeasurement> &measurements() const
     {
         return measurements_;
+    }
+
+    /** Move the last serve() call's records out, leaving none behind. */
+    std::vector<ServingMeasurement> takeMeasurements()
+    {
+        return std::exchange(measurements_, {});
     }
 
     const ServingConfig &config() const { return config_; }

@@ -155,4 +155,42 @@ jsonQuote(std::string_view text)
     return "\"" + jsonEscape(text) + "\"";
 }
 
+std::string
+jsonNumber(double value)
+{
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%.9g", value);
+    return std::string(buffer);
+}
+
+JsonObject &
+JsonObject::text(const char *key, std::string_view value)
+{
+    return raw(key, jsonQuote(value));
+}
+
+JsonObject &
+JsonObject::number(const char *key, double value)
+{
+    return raw(key, jsonNumber(value));
+}
+
+JsonObject &
+JsonObject::number(const char *key, uint64_t value)
+{
+    return number(key, static_cast<double>(value));
+}
+
+JsonObject &
+JsonObject::raw(const char *key, std::string_view json)
+{
+    if (out_.size() > 1)
+        out_ += ",";
+    out_ += "\"";
+    out_ += key;
+    out_ += "\":";
+    out_ += json;
+    return *this;
+}
+
 } // namespace cottage

@@ -8,6 +8,7 @@
 #ifndef COTTAGE_UTIL_STRING_UTIL_H
 #define COTTAGE_UTIL_STRING_UTIL_H
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,6 +52,30 @@ std::string jsonEscape(std::string_view text);
 
 /** jsonEscape wrapped in double quotes: a complete JSON string token. */
 std::string jsonQuote(std::string_view text);
+
+/** A double as "%.9g": the number format every JSON export shares. */
+std::string jsonNumber(double value);
+
+/** A single-line JSON object, built field by field in call order. */
+class JsonObject
+{
+  public:
+    /** A string field, quoted and escaped. */
+    JsonObject &text(const char *key, std::string_view value);
+
+    /** A numeric field (jsonNumber). */
+    JsonObject &number(const char *key, double value);
+    JsonObject &number(const char *key, uint64_t value);
+
+    /** A field whose value is already JSON: null, true, an array. */
+    JsonObject &raw(const char *key, std::string_view json);
+
+    /** The closed object. */
+    std::string str() const { return out_ + "}"; }
+
+  private:
+    std::string out_ = "{";
+};
 
 } // namespace cottage
 

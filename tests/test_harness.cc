@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "harness/experiment.h"
 
@@ -39,6 +40,40 @@ TEST(ExperimentConfig, FlagsOverrideDefaults)
     EXPECT_EQ(config.trainQueries, 55u);
     EXPECT_EQ(config.train.iterations, 7u);
     EXPECT_DOUBLE_EQ(config.cottage.budgetSlack, 2.5);
+}
+
+TEST(ExperimentConfigDeathTest, BadOperatorFlagsExitTwoNotAbort)
+{
+    // Each of these used to reach a library COTTAGE_CHECK and abort;
+    // at the flag boundary they are operator typos, so they get a
+    // usage hint and exit 2 like --isn-cores=0.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto parse = [](std::vector<const char *> argv) {
+        argv.insert(argv.begin(), "prog");
+        const CliFlags flags(static_cast<int>(argv.size()), argv.data());
+        ExperimentConfig::fromFlags(flags);
+    };
+    EXPECT_EXIT(parse({"--metrics-out=m.json", "--power-window-ms=0"}),
+                ::testing::ExitedWithCode(2),
+                "power-window-ms.*strictly positive");
+    EXPECT_EXIT(parse({"--serve", "--shed-backlog-ms=1",
+                       "--degrade-backlog-ms=5"}),
+                ::testing::ExitedWithCode(2),
+                "shed-backlog-ms must be >= --degrade-backlog-ms");
+    EXPECT_EXIT(parse({"--serve", "--qps=0"}),
+                ::testing::ExitedWithCode(2), "qps.*strictly positive");
+    EXPECT_EXIT(parse({"--qps=-350"}), ::testing::ExitedWithCode(2),
+                "qps.*strictly positive");
+
+    // The boundary cases stay legal: equal thresholds collapse the
+    // degrade band (tests/test_serve.cc) rather than abort.
+    const char *argv[] = {"prog", "--shed-backlog-ms=5",
+                          "--degrade-backlog-ms=5", "--power-window-ms=1"};
+    const ExperimentConfig config =
+        ExperimentConfig::fromFlags(CliFlags(4, argv));
+    EXPECT_DOUBLE_EQ(config.serving.admission.shedBacklogSeconds, 5e-3);
+    EXPECT_DOUBLE_EQ(config.serving.admission.degradeBacklogSeconds, 5e-3);
+    EXPECT_DOUBLE_EQ(config.powerWindowSeconds, 1e-3);
 }
 
 TEST(ExperimentConfig, PrintEchoesKeyKnobs)

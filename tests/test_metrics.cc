@@ -67,6 +67,25 @@ TEST(RunStats, EmptyRunIsAllZero)
     EXPECT_DOUBLE_EQ(summary.avgPrecision, 0.0);
 }
 
+TEST(RunStats, AccumulatorFinishIsRepeatableMidStream)
+{
+    // serve() folds records as they arrive; a finish() part-way (which
+    // sorts the latencies it holds) must not perturb later ones.
+    std::vector<QueryMeasurement> measurements;
+    RunAccumulator accumulator;
+    for (int i = 0; i < 50; ++i) {
+        measurements.push_back(measurement((i * 37) % 11 + 0.25 * i,
+                                           0.1 * (i % 10), 8, 8 - i % 3,
+                                           10 + i, 0.01 * (i % 4)));
+        accumulator.add(measurements.back());
+        if (i == 20)
+            accumulator.finish("p", "t");
+    }
+    const std::string once = toJson(accumulator.finish("p", "t"));
+    EXPECT_EQ(once, toJson(accumulator.finish("p", "t")));
+    EXPECT_EQ(once, toJson(summarizeRun("p", "t", measurements)));
+}
+
 TEST(RunStats, LatencySeriesPreservesOrder)
 {
     std::vector<QueryMeasurement> measurements;

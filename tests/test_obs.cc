@@ -490,6 +490,58 @@ TEST(ObsIntegration, JsonlFileMatchesInMemoryRecords)
     EXPECT_EQ(count, result.measurements.size());
 }
 
+TEST(ObsIntegration, ScenarioJsonlHoldsOneRecordPerExecutedQuery)
+{
+    // Scenario runs share replay's tracer plumbing: the file equals the
+    // in-memory records, and only queries that reached the engine leave
+    // a record — cache hits and shed queries never do.
+    ExperimentConfig config = obsConfig();
+    config.traceQueries = 200;
+    config.work = WorkModel();
+    config.serving.resultCacheCapacity = 256;
+    config.serving.admission.degradeBacklogSeconds = 1e-4;
+    config.serving.admission.shedBacklogSeconds = 2e-4;
+    config.traceOut = tempPath("obs_scenario.jsonl");
+    const std::string path = config.traceOut;
+    Experiment experiment(std::move(config));
+    const ScenarioRunResult result = experiment.runScenario(
+        "taily", scenarioByName("flash_crowd", 4.0));
+    ASSERT_NE(result.trace, nullptr);
+    EXPECT_GT(result.summary.cacheHits, 0u)
+        << "no cache hit: the exclusion check is vacuous";
+    EXPECT_GT(result.summary.shedQueries, 0u)
+        << "no shed query: the exclusion check is vacuous";
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.is_open());
+    std::ostringstream content;
+    content << in.rdbuf();
+    std::ostringstream expected;
+    result.trace->writeJsonl(expected, result.summary.run.policy,
+                             result.summary.run.trace);
+    EXPECT_EQ(content.str(), expected.str());
+
+    // Exactly the executed queries, in arrival order.
+    std::vector<QueryId> executed;
+    for (const ServingMeasurement &record : result.measurements)
+        if (record.outcome == ServingOutcome::Served ||
+            record.outcome == ServingOutcome::Degraded)
+            executed.push_back(record.measurement.id);
+    const std::vector<QueryTraceRecord> &records = result.trace->records();
+    ASSERT_EQ(records.size(), executed.size());
+    EXPECT_EQ(result.summary.offered - result.summary.cacheHits -
+                  result.summary.shedQueries,
+              records.size());
+    for (std::size_t i = 0; i < records.size(); ++i)
+        EXPECT_EQ(records[i].id, executed[i]) << "record " << i;
+    std::istringstream lines(content.str());
+    std::string line;
+    std::size_t count = 0;
+    while (std::getline(lines, line))
+        ++count;
+    EXPECT_EQ(count, records.size());
+}
+
 TEST(ObsIntegration, MetricsFileHoldsOneJsonObjectPerRun)
 {
     ExperimentConfig config = obsConfig();

@@ -581,10 +581,11 @@ TEST(ServingDeterminism, ServeIsBitExactAcrossThreadCounts)
 
 TEST(ServingOff, ReplayIgnoresServingKnobsByteForByte)
 {
-    // The hard contract: with serving off, run() must produce the
-    // exact bytes it produced before the serving subsystem existed —
-    // whatever the serving knobs are set to. The front-end only runs
-    // inside runServing().
+    // The hard contract: run() is ServingFrontEnd::serve with the
+    // front-end off, so it must produce the exact bytes of a bare
+    // plan -> execute -> observe replay whatever the serving knobs
+    // are set to — `enabled` included, which only runServing()
+    // honours.
     ExperimentConfig plain;
     plain.corpus.numDocs = 2000;
     plain.corpus.vocabSize = 6000;
@@ -608,6 +609,43 @@ TEST(ServingOff, ReplayIgnoresServingKnobsByteForByte)
             << policy << ": serving knobs perturbed the replay path";
         EXPECT_EQ(toJson(off.summary), toJson(on.summary));
     }
+}
+
+TEST(ServingOff, RunServingHonoursEnabled)
+{
+    // runServing() with the front-end off is replay at the re-timed
+    // arrivals: every query executes, nothing is probed, charged,
+    // degraded or shed — even with caches sized and a shed line that
+    // rejects queries as soon as the front-end is switched on.
+    ExperimentConfig config = servingConfig();
+    config.serving.admission.degradeBacklogSeconds = 1e-4;
+    config.serving.admission.shedBacklogSeconds = 1e-4;
+    ExperimentConfig offConfig = config;
+    offConfig.serving.enabled = false;
+    Experiment on(std::move(config));
+    Experiment off(std::move(offConfig));
+    const double qps = 20000.0;
+    const ServingRunResult served =
+        on.runServing("exhaustive", TraceFlavor::Wikipedia, qps);
+    const ServingRunResult replayed =
+        off.runServing("exhaustive", TraceFlavor::Wikipedia, qps);
+    EXPECT_GT(served.summary.shedQueries, 0u);
+
+    ASSERT_EQ(replayed.measurements.size(), replayed.summary.offered);
+    for (const ServingMeasurement &record : replayed.measurements)
+        ASSERT_EQ(record.outcome, ServingOutcome::Served);
+    EXPECT_EQ(replayed.summary.completed, replayed.summary.offered);
+    EXPECT_EQ(replayed.summary.resultCacheHits +
+                  replayed.summary.resultCacheMisses,
+              0u);
+    EXPECT_EQ(replayed.summary.statsCacheHits +
+                  replayed.summary.statsCacheMisses,
+              0u);
+    EXPECT_EQ(replayed.summary.isnsShed, 0u);
+    // With nothing shed, the queues the front-end would have cut grow
+    // instead: the open-loop replay's tail is the longer one.
+    EXPECT_GT(replayed.summary.run.p99LatencySeconds,
+              served.summary.run.p99LatencySeconds);
 }
 
 TEST(ServingCaches, CachedRankingsMatchUncachedByteForByte)
