@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "index/bmm_evaluator.h"
 #include "index/bmw_evaluator.h"
 #include "index/collection_stats.h"
 #include "index/exhaustive_evaluator.h"
@@ -196,7 +195,6 @@ main(int argc, char **argv)
     const MaxScoreEvaluator maxscore;
     const WandEvaluator wand;
     const BmwEvaluator bmw;
-    const BmmEvaluator bmm;
 
     // All (evaluator, block size, index) sweeps, indexes built up
     // front. Repeat cycles interleave ACROSS sweeps — wand's repeat r
@@ -212,7 +210,7 @@ main(int argc, char **argv)
     };
 
     // Flat evaluators share one index (the block layer is built but
-    // unused); the block-max evaluators get one per block size.
+    // unused); the block-max evaluator gets one per block size.
     const auto flatIndex = buildIndex(corpus, 128);
     std::map<uint32_t, std::unique_ptr<InvertedIndex>> blockIndexes;
     for (const uint32_t blockSize : {64u, 128u, 256u})
@@ -225,14 +223,8 @@ main(int argc, char **argv)
           static_cast<const Evaluator *>(&wand)}) {
         sweeps.push_back({evaluator, 0, flatIndex.get()});
     }
-    for (const uint32_t blockSize : {64u, 128u, 256u}) {
-        for (const Evaluator *evaluator :
-             {static_cast<const Evaluator *>(&bmw),
-              static_cast<const Evaluator *>(&bmm)}) {
-            sweeps.push_back(
-                {evaluator, blockSize, blockIndexes[blockSize].get()});
-        }
-    }
+    for (const uint32_t blockSize : {64u, 128u, 256u})
+        sweeps.push_back({&bmw, blockSize, blockIndexes[blockSize].get()});
 
     std::vector<std::vector<Row>> best(sweeps.size());
     for (int r = 0; r < repeats; ++r) {
@@ -246,7 +238,7 @@ main(int argc, char **argv)
 
     std::vector<Row> rows;
     // Totals at the configurations check_bench.py compares: flat
-    // evaluators, and the block-max evaluators at the reference block
+    // evaluators, and the block-max evaluator at the reference block
     // size 64 — the sweep's consistent winner (finer-grained maxima
     // prune more and each decode is half the work), and the sweep that
     // runs adjacent to wand's in the repeat cycle, so the gated

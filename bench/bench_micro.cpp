@@ -1,7 +1,8 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) of the hot paths: top-K retrieval
- * under the three evaluators, predictor inference (default and paper
+ * under the three flat evaluators (exhaustive, MaxScore, WAND;
+ * bench_evaluators covers bmw), predictor inference (default and paper
  * architectures), feature extraction, Algorithm 1 itself, and the
  * Gamma machinery — quantifying the per-query overhead budget Cottage
  * spends on coordination (paper: ~150 us total).
@@ -15,8 +16,6 @@
 #include "core/budget_algorithm.h"
 #include "index/exhaustive_evaluator.h"
 #include "index/maxscore_evaluator.h"
-#include "index/taat_evaluator.h"
-#include "index/varbyte.h"
 #include "index/wand_evaluator.h"
 #include "policy/taily_estimator.h"
 #include "predict/features.h"
@@ -97,39 +96,9 @@ void BM_SearchWand(benchmark::State &state)
 {
     benchSearch<WandEvaluator>(state);
 }
-void BM_SearchTaat(benchmark::State &state)
-{
-    benchSearch<TaatEvaluator>(state);
-}
 BENCHMARK(BM_SearchExhaustive);
 BENCHMARK(BM_SearchMaxScore);
 BENCHMARK(BM_SearchWand);
-BENCHMARK(BM_SearchTaat);
-
-void
-BM_VByteDecodePostings(benchmark::State &state)
-{
-    // Longest posting list on shard 0, compressed once.
-    const PostingList *longest = nullptr;
-    for (const PostingList &list : stack().index->shard(0).allPostings()) {
-        if (longest == nullptr || list.size() > longest->size())
-            longest = &list;
-    }
-    const CompressedPostingList compressed(*longest);
-    for (auto _ : state) {
-        auto cursor = compressed.cursor();
-        uint64_t checksum = 0;
-        while (cursor.hasNext())
-            checksum += cursor.next().doc;
-        benchmark::DoNotOptimize(checksum);
-    }
-    state.counters["postings"] =
-        static_cast<double>(compressed.size());
-    state.counters["bytes/posting"] =
-        static_cast<double>(compressed.bytes()) /
-        static_cast<double>(compressed.size());
-}
-BENCHMARK(BM_VByteDecodePostings);
 
 void
 BM_QualityFeatureExtraction(benchmark::State &state)

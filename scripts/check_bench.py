@@ -74,15 +74,13 @@ Work gates (always run between evaluators that are present):
   - bmw must score STRICTLY fewer documents than wand at the bench's
     k on the wikipedia-flavor trace (the whole point of the shallow
     per-block bound check);
-  - bmm must score no more documents than maxscore;
   - the block-skip machinery must actually engage (blocks_skipped > 0);
   - every evaluator must agree on queries run (same trace replayed).
 
 Time gates (ns_per_query; opt-in via an explicit --require): wall time
 is machine- and load-dependent, so the time comparisons only run for a
 pair when BOTH members are named in an explicit --require list:
-  - wand,bmw     -> bmw must beat wand on ns_per_query (strictly);
-  - maxscore,bmm -> bmm must not lose to maxscore on ns_per_query.
+  - wand,bmw -> bmw must beat wand on ns_per_query (strictly).
 CI runs the work gates on every bench file and the wand/bmw time gate
 on the full (non-smoke) run, which bench_evaluators measures as an
 interleaved min-of-N (see --repeats there). A file produced with
@@ -98,7 +96,7 @@ Exit codes are distinct on purpose so CI logs are unambiguous:
      --no-time file
 
 --require names the evaluators that must be present, comma-separated
-or repeated (default: exhaustive,maxscore,wand,bmw,bmm — the full CI
+or repeated (default: exhaustive,maxscore,wand,bmw — the full CI
 sweep). Comparisons are only run between evaluators that are present,
 so a trimmed smoke file can still be checked with a narrower
 --require list instead of dying on a KeyError.
@@ -114,7 +112,7 @@ import os
 import sys
 import tempfile
 
-DEFAULT_REQUIRED = ["exhaustive", "maxscore", "wand", "bmw", "bmm"]
+DEFAULT_REQUIRED = ["exhaustive", "maxscore", "wand", "bmw"]
 
 # Fields every totals row must carry for the guards to run.
 ROW_FIELDS = ["queries", "docs_scored", "blocks_skipped", "ns_per_query"]
@@ -277,7 +275,6 @@ def check(path: str, required, time_gated) -> str:
         return totals.get(name)
 
     wand, bmw = row("wand"), row("bmw")
-    maxscore, bmm = row("maxscore"), row("bmm")
 
     if bmw and wand and bmw["docs_scored"] >= wand["docs_scored"]:
         fail(
@@ -285,16 +282,8 @@ def check(path: str, required, time_gated) -> str:
             f"{bmw['docs_scored']} docs, wand {wand['docs_scored']}: "
             "block-max pruning must beat flat WAND strictly"
         )
-    if bmm and maxscore and bmm["docs_scored"] > maxscore["docs_scored"]:
-        fail(
-            "bmm scored "
-            f"{bmm['docs_scored']} docs, maxscore "
-            f"{maxscore['docs_scored']}: block-max must not regress"
-        )
-    for name in ("bmw", "bmm"):
-        entry = row(name)
-        if entry and entry["blocks_skipped"] == 0:
-            fail(f"{name} skipped zero blocks: skip layer never engaged")
+    if bmw and bmw["blocks_skipped"] == 0:
+        fail("bmw skipped zero blocks: skip layer never engaged")
 
     def timed(name):
         entry = row(name)
@@ -322,29 +311,12 @@ def check(path: str, required, time_gated) -> str:
             f"bmw {b['ns_per_query']} ns/query vs wand "
             f"{w['ns_per_query']} ({speedup:.1%} faster)"
         )
-    if {"maxscore", "bmm"} <= time_gated:
-        m, b = timed("maxscore"), timed("bmm")
-        if b["ns_per_query"] > m["ns_per_query"]:
-            fail(
-                f"bmm took {b['ns_per_query']} ns/query, maxscore "
-                f"{m['ns_per_query']}: bmm must not lose wall time to "
-                "flat MaxScore"
-            )
-        summary.append(
-            f"bmm {b['ns_per_query']} ns/query vs maxscore "
-            f"{m['ns_per_query']}"
-        )
 
     if bmw and wand:
         saved = 1.0 - bmw["docs_scored"] / wand["docs_scored"]
         summary.append(
             f"bmw scores {bmw['docs_scored']} docs vs wand "
             f"{wand['docs_scored']} ({saved:.1%} fewer)"
-        )
-    if bmm and maxscore:
-        summary.append(
-            f"bmm {bmm['docs_scored']} vs maxscore "
-            f"{maxscore['docs_scored']}"
         )
     return "; ".join(summary) if summary else "no pruning pairs present"
 
@@ -730,8 +702,6 @@ def _synthetic_totals(**overrides):
                  "blocks_skipped": 0, "ns_per_query": 8000},
         "bmw": {"queries": 100, "docs_scored": 2000,
                 "blocks_skipped": 40, "ns_per_query": 7000},
-        "bmm": {"queries": 100, "docs_scored": 3000,
-                "blocks_skipped": 30, "ns_per_query": 5500},
     }
     for name, fields in overrides.items():
         base[name].update(fields)
@@ -769,7 +739,7 @@ def self_test() -> None:
         _run_case("healthy default gates", [healthy], 0)
         _run_case(
             "healthy armed time gates",
-            [healthy, "--require=wand,bmw,maxscore,bmm"],
+            [healthy, "--require=exhaustive,maxscore,wand,bmw"],
             0,
         )
 
@@ -796,31 +766,15 @@ def self_test() -> None:
             "slow bmw, time gate armed", [slow_bmw, "--require=wand,bmw"], 1
         )
         _run_case(
-            "slow bmw, only bmm pair armed",
-            [slow_bmw, "--require=maxscore,bmm"],
+            "slow bmw, only wand named -> bmw gate unarmed",
+            [slow_bmw, "--require=wand"],
             0,
-        )
-        slow_bmm = bench_file(
-            "slow_bmm.json", _synthetic_totals(bmm={"ns_per_query": 6001})
-        )
-        _run_case(
-            "slow bmm, time gate armed",
-            [slow_bmm, "--require=maxscore,bmm"],
-            1,
         )
         tie = bench_file(
             "tie.json", _synthetic_totals(bmw={"ns_per_query": 8000})
         )
         _run_case("bmw ties wand, strict gate",
                   [tie, "--require=wand,bmw"], 1)
-        bmm_tie = bench_file(
-            "bmm_tie.json", _synthetic_totals(bmm={"ns_per_query": 6000})
-        )
-        _run_case(
-            "bmm ties maxscore, lenient gate",
-            [bmm_tie, "--require=maxscore,bmm"],
-            0,
-        )
 
         # BAD INPUT paths keep exit 2.
         _run_case("missing file", [os.path.join(tmp, "nope.json")], 2)
@@ -829,7 +783,7 @@ def self_test() -> None:
             handle.write("{not json")
         _run_case("corrupt json", [corrupt], 2)
         totals = _synthetic_totals()
-        del totals["bmm"]
+        del totals["maxscore"]
         trimmed = bench_file("trimmed.json", totals)
         _run_case("required evaluator absent", [trimmed], 2)
         _run_case(

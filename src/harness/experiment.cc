@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 
 #include "core/cottage_isn_policy.h"
@@ -9,11 +10,9 @@
 #include "engine/parallel_search.h"
 #include "core/oracle_policy.h"
 #include "core/slo_policy.h"
-#include "index/bmm_evaluator.h"
 #include "index/bmw_evaluator.h"
 #include "index/exhaustive_evaluator.h"
 #include "index/maxscore_evaluator.h"
-#include "index/taat_evaluator.h"
 #include "index/wand_evaluator.h"
 #include "policy/exhaustive_policy.h"
 #include "serve/arrivals.h"
@@ -23,6 +22,27 @@
 #include "util/thread_pool.h"
 
 namespace cottage {
+
+namespace {
+
+template <typename E>
+std::unique_ptr<Evaluator>
+construct()
+{
+    return std::make_unique<E>();
+}
+
+/** Every strategy makeEvaluator() and --evaluator accept, by name. */
+constexpr struct
+{
+    const char *name;
+    std::unique_ptr<Evaluator> (*make)();
+} kEvaluators[] = {{"exhaustive", construct<ExhaustiveEvaluator>},
+                   {"maxscore", construct<MaxScoreEvaluator>},
+                   {"wand", construct<WandEvaluator>},
+                   {"bmw", construct<BmwEvaluator>}};
+
+} // namespace
 
 ExperimentConfig::ExperimentConfig()
 {
@@ -57,10 +77,12 @@ ExperimentConfig::fromFlags(const CliFlags &flags)
         flags.getInt("vocab", config.corpus.vocabSize));
     config.corpus.seed =
         static_cast<uint64_t>(flags.getInt("seed", config.corpus.seed));
+    // Operator-facing validation: a typo'd count, width or name should
+    // print a usage hint and exit 2, not dump core via an assertion.
     config.shards.numShards = static_cast<ShardId>(
-        flags.getInt("shards", config.shards.numShards));
-    config.shards.topK =
-        static_cast<std::size_t>(flags.getInt("k", config.shards.topK));
+        getIntAtLeast(flags, "shards", config.shards.numShards, 1));
+    config.shards.topK = static_cast<std::size_t>(getIntAtLeast(
+        flags, "k", static_cast<int64_t>(config.shards.topK), 1));
     config.traceQueries = static_cast<uint64_t>(
         flags.getInt("queries", config.traceQueries));
     config.arrivalQps = getPositiveDouble(flags, "qps", config.arrivalQps);
@@ -87,8 +109,6 @@ ExperimentConfig::fromFlags(const CliFlags &flags)
     config.sloSeconds = millis("slo-ms", config.sloSeconds);
     config.coresPerIsn = static_cast<uint32_t>(
         flags.getInt("cores-per-isn", config.coresPerIsn));
-    // Operator-facing validation: a typo'd width or serial fraction
-    // should print a usage hint, not dump core via an assertion.
     config.isnCores = static_cast<uint32_t>(
         getIntAtLeast(flags, "isn-cores", config.isnCores, 1));
     config.cottage.maxCoresPerQuery = config.isnCores;
@@ -101,10 +121,19 @@ ExperimentConfig::fromFlags(const CliFlags &flags)
     config.cottage.isnPowerCapWatts = getPositiveDouble(
         flags, "isn-power-cap", config.cottage.isnPowerCapWatts);
     config.evaluator = flags.getString("evaluator", config.evaluator);
+    if (std::none_of(std::begin(kEvaluators), std::end(kEvaluators),
+                     [&config](const auto &entry) {
+                         return config.evaluator == entry.name;
+                     }))
+        cliError("unknown evaluator: " + config.evaluator,
+                 "--evaluator=NAME with NAME one of exhaustive, maxscore, "
+                 "wand, bmw");
     config.shards.blockSize = static_cast<uint32_t>(
-        flags.getInt("block-size", config.shards.blockSize));
-    config.threads =
-        static_cast<uint32_t>(flags.getInt("threads", config.threads));
+        getIntAtLeast(flags, "block-size", config.shards.blockSize, 1));
+    // 0 keeps the default pool; a negative count would wrap through
+    // the cast into billions of workers.
+    config.threads = static_cast<uint32_t>(
+        getIntAtLeast(flags, "threads", config.threads, 0));
     config.anytime = flags.getBool("anytime", config.anytime);
     config.traceOut = flags.getString("trace-out", config.traceOut);
     config.metricsOut = flags.getString("metrics-out", config.metricsOut);
@@ -163,18 +192,9 @@ ExperimentConfig::print(std::ostream &out) const
 std::unique_ptr<Evaluator>
 Experiment::makeEvaluator(const std::string &name)
 {
-    if (name == "exhaustive")
-        return std::make_unique<ExhaustiveEvaluator>();
-    if (name == "taat")
-        return std::make_unique<TaatEvaluator>();
-    if (name == "maxscore")
-        return std::make_unique<MaxScoreEvaluator>();
-    if (name == "wand")
-        return std::make_unique<WandEvaluator>();
-    if (name == "bmw")
-        return std::make_unique<BmwEvaluator>();
-    if (name == "bmm")
-        return std::make_unique<BmmEvaluator>();
+    for (const auto &entry : kEvaluators)
+        if (name == entry.name)
+            return entry.make();
     fatal("unknown evaluator: " + name);
 }
 

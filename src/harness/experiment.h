@@ -98,11 +98,11 @@ struct ExperimentConfig
     SpeedupCurve speedup;
 
     /**
-     * Retrieval strategy every ISN runs: "exhaustive", "taat",
-     * "maxscore" (default), "wand", or the block-max variants "bmw"
-     * (Block-Max WAND) and "bmm" (Block-Max MaxScore). All are
-     * rank-safe, so the measured quality is identical; only the work
-     * (and therefore the simulated latency/energy) differs.
+     * Retrieval strategy every ISN runs: "exhaustive", "maxscore"
+     * (default), "wand", or "bmw" (Block-Max WAND over StreamVByte
+     * blocks). All are rank-safe, so the measured quality is
+     * identical; only the work (and therefore the simulated
+     * latency/energy) differs.
      */
     std::string evaluator = "maxscore";
 
@@ -254,8 +254,8 @@ class Experiment
     const Evaluator &evaluator() const { return *evaluator_; }
 
     /**
-     * Instantiate a retrieval strategy by name: exhaustive, taat,
-     * maxscore, wand, bmw, bmm. Fatal on an unknown name.
+     * Instantiate a retrieval strategy by name: exhaustive,
+     * maxscore, wand or bmw. Fatal on an unknown name.
      */
     static std::unique_ptr<Evaluator>
     makeEvaluator(const std::string &name);

@@ -92,8 +92,8 @@ void streamVByteEncode(const uint32_t *values, std::size_t n,
  * A control region that does not fit in @p avail, or one whose length
  * codes imply a data region overrunning @p avail, fails a
  * COTTAGE_CHECK ("truncated streamvbyte control stream" /
- * "truncated streamvbyte data stream") in every build type — the same
- * contract vbyteDecode() holds for its stream (varbyte.h).
+ * "truncated streamvbyte data stream") in every build type: a
+ * malformed stream is a hard failure, never an out-of-bounds read.
  */
 std::size_t streamVByteDecode(const uint8_t *in, std::size_t avail,
                               std::size_t n, uint32_t *out);

@@ -169,12 +169,12 @@ class BlockMaxPostingList
  * buffer (measured ~10% on the full bench).
  */
 /**
- * Per-query scratch-slab size (uint32 slots) the block-max evaluators
- * keep on the stack: queries whose cursors' combined scratchSlots()
+ * Per-query scratch-slab size (uint32 slots) the block-max evaluator
+ * keeps on the stack: queries whose cursors' combined scratchSlots()
  * fit (boundary inclusive) decode into a stack array, anything larger
- * spills to one heap slab. Shared between bmw and bmm — and exported —
- * so the stack/heap boundary is a single number tests can target
- * exactly (tests/test_blockmax.cc pins both sides of it).
+ * spills to one heap slab. Exported so the stack/heap boundary is a
+ * single number tests can target exactly (tests/test_blockmax.cc pins
+ * both sides of it).
  */
 constexpr std::size_t kEvaluatorStackSlabSlots = 2048;
 

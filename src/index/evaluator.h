@@ -148,7 +148,10 @@ class Evaluator
   public:
     virtual ~Evaluator() = default;
 
-    /** Strategy name for reports ("exhaustive", "maxscore", "wand"). */
+    /**
+     * Strategy name for reports ("exhaustive", "maxscore", "wand",
+     * "bmw").
+     */
     virtual const char *name() const = 0;
 
     /**

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "index/varbyte.h"
 #include "util/logging.h"
 
 namespace cottage {
@@ -100,14 +99,13 @@ InvertedIndex::Footprint
 InvertedIndex::footprint() const
 {
     Footprint fp;
-    for (const PostingList &list : lists_) {
+    for (const PostingList &list : lists_)
         fp.rawPostingBytes += list.size() * sizeof(Posting);
-        fp.compressedPostingBytes += CompressedPostingList(list).bytes();
-    }
     for (const BlockMaxPostingList &list : blockLists_) {
         fp.blockMetadataBytes += list.metadataBytes();
         fp.blockPayloadBytes += list.payloadBytes();
     }
+    fp.compressedPostingBytes = fp.blockPayloadBytes;
     fp.blockMaxBytes = fp.blockMetadataBytes + fp.blockPayloadBytes;
     fp.docTableBytes = lengths_.size() * sizeof(uint32_t) +
                        globalIds_.size() * sizeof(DocId);

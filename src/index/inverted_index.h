@@ -84,13 +84,17 @@ class InvertedIndex
     /** All posting lists (arbitrary order); used by index-time scans. */
     const std::vector<PostingList> &allPostings() const { return lists_; }
 
-    /** Index storage accounting (raw vs VByte-compressed postings). */
+    /** Index storage accounting (raw vs StreamVByte-compressed postings). */
     struct Footprint
     {
         /** Flat in-memory posting bytes (8 per posting). */
         std::size_t rawPostingBytes = 0;
 
-        /** Bytes the postings take delta-gap VByte compressed. */
+        /**
+         * Bytes the postings take compressed: the StreamVByte block
+         * payloads, the only compressed form the index stores
+         * (== blockPayloadBytes).
+         */
         std::size_t compressedPostingBytes = 0;
 
         /** Document-metadata bytes (lengths + global id map). */
@@ -111,8 +115,8 @@ class InvertedIndex
     };
 
     /**
-     * Compute the storage footprint. Compresses every list once, so
-     * this is an O(total postings) scan — for reports, not hot paths.
+     * Compute the storage footprint: one pass over the lists, for
+     * reports, not hot paths.
      */
     Footprint footprint() const;
 

@@ -246,8 +246,8 @@ TEST_P(AnytimeDeterminism, TruncatedReplayIsBitExactAcrossThreadCounts)
 }
 
 INSTANTIATE_TEST_SUITE_P(Evaluators, AnytimeDeterminism,
-                         ::testing::Values("exhaustive", "taat",
-                                           "maxscore", "wand"));
+                         ::testing::Values("exhaustive", "maxscore",
+                                           "wand"));
 
 } // namespace
 } // namespace cottage

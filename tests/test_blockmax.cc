@@ -2,10 +2,9 @@
  * @file
  * Block-max layer tests: structural invariants of BlockMaxPostingList,
  * cursor deep/shallow seek semantics and I/O accounting, the *bitwise*
- * rank-safety property of the BMW/BMM evaluators against exhaustive
- * over randomized corpora (ties, negative weights, single-term and
- * all-stopword queries), work-saving assertions, and the truncated
- * VByte-stream death tests.
+ * rank-safety property of the BMW evaluator against exhaustive over
+ * randomized corpora (ties, negative weights, single-term and
+ * all-stopword queries), and work-saving assertions.
  */
 
 #include <gtest/gtest.h>
@@ -18,13 +17,11 @@
 
 #include "index/block_codec.h"
 #include "index/block_max.h"
-#include "index/bmm_evaluator.h"
 #include "index/bmw_evaluator.h"
 #include "index/collection_stats.h"
 #include "index/exhaustive_evaluator.h"
 #include "index/inverted_index.h"
 #include "index/maxscore_evaluator.h"
-#include "index/varbyte.h"
 #include "index/wand_evaluator.h"
 #include "text/corpus.h"
 #include "text/trace.h"
@@ -226,19 +223,18 @@ TEST_F(BlockMaxFixture, ShallowSeekNeverDecodes)
 }
 
 /**
- * The tentpole property, strengthened to the bit level: BMW and BMM
- * must return the *bit-identical* top-K (ids and score doubles) the
+ * The tentpole property, strengthened to the bit level: BMW must
+ * return the *bit-identical* top-K (ids and score doubles) the
  * exhaustive evaluator returns — over regenerated random corpora,
  * random block sizes and result depths, with plain, weighted and
  * mixed-sign (demoting) queries, plus the degenerate shapes that break
  * naive pruning: single-term queries and all-stopword (highest
  * document frequency) queries full of score ties.
  */
-TEST(BlockMaxProperty, BmwAndBmmAreBitIdenticalToExhaustive)
+TEST(BlockMaxProperty, BmwIsBitIdenticalToExhaustive)
 {
     const ExhaustiveEvaluator exhaustive;
     const BmwEvaluator bmw;
-    const BmmEvaluator bmm;
     Rng rng(0xB10CBA5Eu);
 
     for (int round = 0; round < 5; ++round) {
@@ -301,15 +297,13 @@ TEST(BlockMaxProperty, BmwAndBmmAreBitIdenticalToExhaustive)
                 exhaustive.search(*index, queries[q], k);
             expectBitIdentical(bmw.search(*index, queries[q], k), base,
                                "bmw", static_cast<QueryId>(q));
-            expectBitIdentical(bmm.search(*index, queries[q], k), base,
-                               "bmm", static_cast<QueryId>(q));
         }
     }
 }
 
 /**
  * Determinism matrix over the production block sizes: at {64, 128,
- * 256}, bmw and bmm must (a) return the bit-identical top-K the
+ * 256}, bmw must (a) return the bit-identical top-K the
  * exhaustive evaluator returns, and (b) produce a byte-identical
  * per-query work-counter stream (docsSkipped / blocksDecoded /
  * blocksSkipped included) when the same trace is replayed — the
@@ -322,7 +316,6 @@ TEST_F(BlockMaxFixture, WorkCountersReplayByteIdenticalPerBlockSize)
 {
     const ExhaustiveEvaluator exhaustive;
     const BmwEvaluator bmw;
-    const BmmEvaluator bmm;
 
     TraceConfig traceConfig;
     traceConfig.numQueries = 120;
@@ -344,27 +337,19 @@ TEST_F(BlockMaxFixture, WorkCountersReplayByteIdenticalPerBlockSize)
 
     for (const uint32_t blockSize : {64u, 128u, 256u}) {
         const auto index = wholeCorpusIndex(*corpus_, blockSize);
-        for (const Evaluator *evaluator :
-             {static_cast<const Evaluator *>(&bmw),
-              static_cast<const Evaluator *>(&bmm)}) {
-            const char *name = evaluator == &bmw ? "bmw" : "bmm";
-            std::string first, second;
-            for (const Query &query : trace.queries()) {
-                const SearchResult a =
-                    evaluator->search(*index, query.terms, 10);
-                first += serializeWork(a.work);
-                expectBitIdentical(
-                    a, exhaustive.search(*index, query.terms, 10), name,
-                    query.id);
-            }
-            for (const Query &query : trace.queries()) {
-                second += serializeWork(
-                    evaluator->search(*index, query.terms, 10).work);
-            }
-            EXPECT_EQ(first, second)
-                << name << " at block size " << blockSize
-                << ": work-counter stream not replay-stable";
+        std::string first, second;
+        for (const Query &query : trace.queries()) {
+            const SearchResult a = bmw.search(*index, query.terms, 10);
+            first += serializeWork(a.work);
+            expectBitIdentical(a,
+                               exhaustive.search(*index, query.terms, 10),
+                               "bmw", query.id);
         }
+        for (const Query &query : trace.queries())
+            second += serializeWork(bmw.search(*index, query.terms, 10).work);
+        EXPECT_EQ(first, second)
+            << "bmw at block size " << blockSize
+            << ": work-counter stream not replay-stable";
     }
 }
 
@@ -424,7 +409,6 @@ TEST(BlockMaxSlab, StackHeapBoundaryIsExactAndRankSafe)
 
     const ExhaustiveEvaluator exhaustive;
     const BmwEvaluator bmw;
-    const BmmEvaluator bmm;
     for (const std::vector<TermId> &query : {exactFit, oneOver}) {
         const auto weighted = toWeighted(query);
         for (const std::size_t k : {1u, 10u, 50u}) {
@@ -433,8 +417,6 @@ TEST(BlockMaxSlab, StackHeapBoundaryIsExactAndRankSafe)
             ASSERT_FALSE(base.topK.empty());
             expectBitIdentical(bmw.search(*index, weighted, k), base,
                                "bmw", static_cast<QueryId>(query.size()));
-            expectBitIdentical(bmm.search(*index, weighted, k), base,
-                               "bmm", static_cast<QueryId>(query.size()));
         }
     }
 }
@@ -444,7 +426,6 @@ TEST_F(BlockMaxFixture, BlockPruningBeatsFlatPruning)
     const MaxScoreEvaluator maxscore;
     const WandEvaluator wand;
     const BmwEvaluator bmw;
-    const BmmEvaluator bmm;
 
     TraceConfig traceConfig;
     traceConfig.numQueries = 100;
@@ -452,63 +433,24 @@ TEST_F(BlockMaxFixture, BlockPruningBeatsFlatPruning)
     traceConfig.seed = 6;
     const QueryTrace trace = QueryTrace::generate(traceConfig);
 
-    SearchWork wandWork, maxscoreWork, bmwWork, bmmWork;
+    SearchWork wandWork, maxscoreWork, bmwWork;
     for (const Query &query : trace.queries()) {
         wandWork += wand.search(*index_, query.terms, 10).work;
         maxscoreWork += maxscore.search(*index_, query.terms, 10).work;
         bmwWork += bmw.search(*index_, query.terms, 10).work;
-        bmmWork += bmm.search(*index_, query.terms, 10).work;
     }
     // The acceptance property: the shallow block-max check rejects
     // candidates WAND would have scored.
     EXPECT_LT(bmwWork.docsScored, wandWork.docsScored);
-    EXPECT_LE(bmmWork.docsScored, maxscoreWork.docsScored);
     // And the skip machinery actually engages.
     EXPECT_GT(bmwWork.blocksSkipped, 0u);
     EXPECT_GT(bmwWork.blocksDecoded, 0u);
     EXPECT_GT(bmwWork.docsSkipped, 0u);
-    EXPECT_GT(bmmWork.blocksSkipped, 0u);
     // Flat evaluators now surface their seek savings uniformly.
     EXPECT_GT(wandWork.docsSkipped, 0u);
     EXPECT_GT(maxscoreWork.docsSkipped, 0u);
     EXPECT_EQ(wandWork.blocksDecoded, 0u);
     EXPECT_EQ(maxscoreWork.blocksDecoded, 0u);
-}
-
-// ---------------------------------------------------------------------
-// Satellite: the VByte decoder's truncated-input contract is a hard
-// CHECK (every build type), not undefined behaviour.
-
-TEST(VByteDeathTest, TruncatedStreamFailsTheBoundsCheck)
-{
-    std::vector<uint8_t> bytes;
-    vbyteEncode(300, bytes); // two bytes: continuation + terminator
-    bytes.pop_back();        // chop the terminator mid-value
-    std::size_t offset = 0;
-    EXPECT_DEATH((void)vbyteDecode(bytes, offset),
-                 "truncated vbyte stream");
-}
-
-TEST(VByteDeathTest, OffsetPastTheEndFailsTheBoundsCheck)
-{
-    std::vector<uint8_t> bytes;
-    vbyteEncode(7, bytes);
-    std::size_t offset = bytes.size();
-    EXPECT_DEATH((void)vbyteDecode(bytes, offset),
-                 "truncated vbyte stream");
-}
-
-TEST(VByteDeathTest, CursorPastTheEndFailsTheCheck)
-{
-    PostingList list;
-    list.term = 1;
-    list.postings = {{3, 2}, {9, 1}};
-    const CompressedPostingList compressed(list);
-    CompressedPostingList::Cursor cursor = compressed.cursor();
-    (void)cursor.next();
-    (void)cursor.next();
-    EXPECT_FALSE(cursor.hasNext());
-    EXPECT_DEATH((void)cursor.next(), "cursor exhausted");
 }
 
 } // namespace

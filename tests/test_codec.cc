@@ -6,7 +6,7 @@
  * bit-by-bit reference decoder on randomized corpora, the fused
  * delta-decode against decode-then-integrate, and death tests for the
  * truncated/corrupt-stream contract (a hard COTTAGE_CHECK in every
- * build type, mirroring varbyte.h).
+ * build type).
  */
 
 #include <gtest/gtest.h>
@@ -230,9 +230,8 @@ TEST(StreamVByte, ReportsCompiledKernel)
 }
 
 // ---------------------------------------------------------------------
-// The truncated-stream contract is a hard CHECK in every build type,
-// exactly as vbyteDecode's (varbyte.h): a malformed stream must never
-// be silently decoded into garbage.
+// The truncated-stream contract is a hard CHECK in every build type:
+// a malformed stream must never be silently decoded into garbage.
 
 TEST(StreamVByteDeathTest, TruncatedControlRegionFailsTheBoundsCheck)
 {

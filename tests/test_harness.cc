@@ -44,9 +44,10 @@ TEST(ExperimentConfig, FlagsOverrideDefaults)
 
 TEST(ExperimentConfigDeathTest, BadOperatorFlagsExitTwoNotAbort)
 {
-    // Each of these used to reach a library COTTAGE_CHECK and abort;
-    // at the flag boundary they are operator typos, so they get a
-    // usage hint and exit 2 like --isn-cores=0.
+    // Each of these used to reach a library COTTAGE_CHECK and abort
+    // (or, for --evaluator, a fatal exit 1); at the flag boundary they
+    // are operator typos, so they get a usage hint and exit 2 like
+    // --isn-cores=0.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const auto parse = [](std::vector<const char *> argv) {
         argv.insert(argv.begin(), "prog");
@@ -64,16 +65,31 @@ TEST(ExperimentConfigDeathTest, BadOperatorFlagsExitTwoNotAbort)
                 ::testing::ExitedWithCode(2), "qps.*strictly positive");
     EXPECT_EXIT(parse({"--qps=-350"}), ::testing::ExitedWithCode(2),
                 "qps.*strictly positive");
+    EXPECT_EXIT(parse({"--evaluator=bogus"}), ::testing::ExitedWithCode(2),
+                "unknown evaluator: bogus");
+    EXPECT_EXIT(parse({"--evaluator=bmm"}), ::testing::ExitedWithCode(2),
+                "unknown evaluator: bmm");
+    EXPECT_EXIT(parse({"--block-size=0"}), ::testing::ExitedWithCode(2),
+                "block-size must be >= 1");
+    EXPECT_EXIT(parse({"--shards=0"}), ::testing::ExitedWithCode(2),
+                "shards must be >= 1");
+    EXPECT_EXIT(parse({"--k=0"}), ::testing::ExitedWithCode(2),
+                "k must be >= 1");
+    EXPECT_EXIT(parse({"--threads=-1"}), ::testing::ExitedWithCode(2),
+                "threads must be >= 0");
 
     // The boundary cases stay legal: equal thresholds collapse the
     // degrade band (tests/test_serve.cc) rather than abort.
+    // --threads=0 still means the default pool.
     const char *argv[] = {"prog", "--shed-backlog-ms=5",
-                          "--degrade-backlog-ms=5", "--power-window-ms=1"};
+                          "--degrade-backlog-ms=5", "--power-window-ms=1",
+                          "--threads=0"};
     const ExperimentConfig config =
-        ExperimentConfig::fromFlags(CliFlags(4, argv));
+        ExperimentConfig::fromFlags(CliFlags(5, argv));
     EXPECT_DOUBLE_EQ(config.serving.admission.shedBacklogSeconds, 5e-3);
     EXPECT_DOUBLE_EQ(config.serving.admission.degradeBacklogSeconds, 5e-3);
     EXPECT_DOUBLE_EQ(config.powerWindowSeconds, 1e-3);
+    EXPECT_EQ(config.threads, 0u);
 }
 
 TEST(ExperimentConfig, PrintEchoesKeyKnobs)

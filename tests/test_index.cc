@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit and property tests for the index module: BM25, inverted index
- * construction, term statistics, and the three evaluators (including
- * the rank-safety equivalence property: MaxScore and WAND must return
+ * construction, term statistics, and the four evaluators (including
+ * the rank-safety equivalence property: MaxScore, WAND and BMW must return
  * exactly the exhaustive top-K).
  */
 
@@ -13,16 +13,13 @@
 #include <memory>
 
 #include "index/bm25.h"
-#include "index/bmm_evaluator.h"
 #include "index/bmw_evaluator.h"
 #include "index/collection_stats.h"
 #include "index/exhaustive_evaluator.h"
 #include "index/inverted_index.h"
 #include "index/maxscore_evaluator.h"
-#include "index/taat_evaluator.h"
 #include "index/term_stats.h"
 #include "index/top_k.h"
-#include "index/varbyte.h"
 #include "index/wand_evaluator.h"
 #include "text/corpus.h"
 #include "text/trace.h"
@@ -202,9 +199,7 @@ TEST_F(IndexFixture, EvaluatorsAgreeWithExhaustive)
     const ExhaustiveEvaluator exhaustive;
     const MaxScoreEvaluator maxscore;
     const WandEvaluator wand;
-    const TaatEvaluator taat;
     const BmwEvaluator bmw;
-    const BmmEvaluator bmm;
 
     TraceConfig traceConfig;
     traceConfig.numQueries = 150;
@@ -217,9 +212,7 @@ TEST_F(IndexFixture, EvaluatorsAgreeWithExhaustive)
         for (const Evaluator *other :
              {static_cast<const Evaluator *>(&maxscore),
               static_cast<const Evaluator *>(&wand),
-              static_cast<const Evaluator *>(&taat),
-              static_cast<const Evaluator *>(&bmw),
-              static_cast<const Evaluator *>(&bmm)}) {
+              static_cast<const Evaluator *>(&bmw)}) {
             const SearchResult result =
                 other->search(*index_, query.terms, 10);
             ASSERT_EQ(result.topK.size(), base.topK.size())
@@ -394,7 +387,6 @@ TEST_F(IndexFixture, WeightedQueriesStayRankSafe)
     const ExhaustiveEvaluator exhaustive;
     const MaxScoreEvaluator maxscore;
     const WandEvaluator wand;
-    const TaatEvaluator taat;
 
     Rng rng(99);
     TraceConfig traceConfig;
@@ -410,8 +402,7 @@ TEST_F(IndexFixture, WeightedQueriesStayRankSafe)
         const SearchResult base = exhaustive.search(*index_, weighted, 10);
         for (const Evaluator *other :
              {static_cast<const Evaluator *>(&maxscore),
-              static_cast<const Evaluator *>(&wand),
-              static_cast<const Evaluator *>(&taat)}) {
+              static_cast<const Evaluator *>(&wand)}) {
             const SearchResult result =
                 other->search(*index_, weighted, 10);
             ASSERT_EQ(result.topK.size(), base.topK.size())
@@ -469,12 +460,10 @@ class EvaluatorAnytimeCap : public IndexFixture
     all()
     {
         static const ExhaustiveEvaluator exhaustive;
-        static const TaatEvaluator taat;
         static const MaxScoreEvaluator maxscore;
         static const WandEvaluator wand;
         static const BmwEvaluator bmw;
-        static const BmmEvaluator bmm;
-        return {&exhaustive, &taat, &maxscore, &wand, &bmw, &bmm};
+        return {&exhaustive, &maxscore, &wand, &bmw};
     }
 };
 
@@ -591,9 +580,7 @@ TEST_F(IndexFixture, NegativeWeightsStayRankSafe)
     const ExhaustiveEvaluator exhaustive;
     const MaxScoreEvaluator maxscore;
     const WandEvaluator wand;
-    const TaatEvaluator taat;
     const BmwEvaluator bmw;
-    const BmmEvaluator bmm;
 
     Rng rng(0x9E6);
     TraceConfig traceConfig;
@@ -616,9 +603,7 @@ TEST_F(IndexFixture, NegativeWeightsStayRankSafe)
         for (const Evaluator *other :
              {static_cast<const Evaluator *>(&maxscore),
               static_cast<const Evaluator *>(&wand),
-              static_cast<const Evaluator *>(&taat),
-              static_cast<const Evaluator *>(&bmw),
-              static_cast<const Evaluator *>(&bmm)}) {
+              static_cast<const Evaluator *>(&bmw)}) {
             const SearchResult result =
                 other->search(*index_, weighted, 10);
             ASSERT_EQ(result.topK.size(), base.topK.size())
@@ -634,54 +619,17 @@ TEST_F(IndexFixture, NegativeWeightsStayRankSafe)
     }
 }
 
-TEST(VByte, EncodeDecodeRoundTripAllMagnitudes)
-{
-    std::vector<uint8_t> bytes;
-    const std::vector<uint32_t> values = {0,    1,     127,        128,
-                                          300,  16383, 16384,      1u << 20,
-                                          1u << 28, 0xffffffffu};
-    for (uint32_t v : values)
-        vbyteEncode(v, bytes);
-    std::size_t offset = 0;
-    for (uint32_t v : values)
-        EXPECT_EQ(vbyteDecode(bytes, offset), v);
-    EXPECT_EQ(offset, bytes.size());
-}
-
-TEST(VByte, SmallValuesTakeOneByte)
-{
-    std::vector<uint8_t> bytes;
-    vbyteEncode(127, bytes);
-    EXPECT_EQ(bytes.size(), 1u);
-    vbyteEncode(128, bytes);
-    EXPECT_EQ(bytes.size(), 3u); // 128 needs two bytes
-}
-
-TEST_F(IndexFixture, CompressedPostingListRoundTrip)
-{
-    for (const PostingList &list : index_->allPostings()) {
-        const CompressedPostingList compressed(list);
-        EXPECT_EQ(compressed.size(), list.size());
-        EXPECT_EQ(compressed.term(), list.term);
-        const PostingList restored = compressed.decompress();
-        ASSERT_EQ(restored.postings.size(), list.postings.size());
-        for (std::size_t i = 0; i < list.size(); ++i) {
-            EXPECT_EQ(restored.postings[i].doc, list.postings[i].doc);
-            EXPECT_EQ(restored.postings[i].freq, list.postings[i].freq);
-        }
-    }
-}
-
 TEST_F(IndexFixture, CompressionShrinksTheIndex)
 {
     const InvertedIndex::Footprint fp = index_->footprint();
     EXPECT_GT(fp.rawPostingBytes, 0u);
     EXPECT_GT(fp.compressedPostingBytes, 0u);
-    // Delta-gap VByte should at least halve 8-byte flat postings.
+    // The StreamVByte block payload should at least halve 8-byte flat
+    // postings.
     EXPECT_LT(fp.compressedPostingBytes, fp.rawPostingBytes / 2);
     EXPECT_GT(fp.docTableBytes, 0u);
-    // The block-max skip layer is accounted too: at least the stream
-    // (its per-block gap restarts can only widen it), plus metadata.
+    // The block-max skip layer is accounted too: that payload plus the
+    // per-block metadata.
     EXPECT_GE(fp.blockMaxBytes, fp.compressedPostingBytes);
     std::size_t expectedBlockMax = 0;
     for (const PostingList &list : index_->allPostings())
