@@ -15,6 +15,7 @@
 
 #include "bench_common.h"
 #include "core/cottage_policy.h"
+#include "harness/table.h"
 
 using namespace cottage;
 using namespace cottage::bench;

@@ -17,6 +17,7 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "harness/table.h"
 
 using namespace cottage;
 using namespace cottage::bench;

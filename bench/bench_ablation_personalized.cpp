@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "harness/table.h"
 #include "util/thread_pool.h"
 
 using namespace cottage;

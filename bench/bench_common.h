@@ -1,80 +1,36 @@
 /**
  * @file
- * Shared helpers for the Fig. 10-15 trace-replay benches: build the
- * experiment from flags, replay the standard policy set over both
- * traces, and hand each bench the per-run results.
+ * Shared helper of the bench harnesses: build the experiment from the
+ * command-line flags.
  */
 
 #ifndef COTTAGE_BENCH_BENCH_COMMON_H
 #define COTTAGE_BENCH_BENCH_COMMON_H
 
 #include <iostream>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "harness/experiment.h"
-#include "harness/table.h"
 #include "util/cli.h"
 
 namespace cottage::bench {
 
-/** The policy set of the paper's main evaluation (Figs. 10-14). */
-inline const std::vector<std::string> mainPolicies = {
-    "exhaustive", "taily", "rank-s", "cottage"};
-
-/** The policy set of the ablation study (Fig. 15). */
-inline const std::vector<std::string> ablationPolicies = {
-    "exhaustive", "taily", "cottage-without-ml", "cottage-isn", "cottage"};
-
-/** One bench's replay results, keyed by (policy, flavor). */
-struct ReplayResults
-{
-    std::map<std::pair<std::string, TraceFlavor>, RunResult> runs;
-
-    const RunResult &
-    at(const std::string &policy, TraceFlavor flavor) const
-    {
-        return runs.at({policy, flavor});
-    }
-};
-
 /**
- * Build the experiment from CLI flags (default: 5000 queries per
- * trace so a full bench sweep stays tractable on one core) and replay
- * the given policies over both trace flavors. The replay is sequential
- * over policies/queries (the cluster-sim must advance in arrival
- * order) but every per-shard retrieval inside fans out over the
- * `--threads` work-stealing pool, so wall-clock scales with cores
- * while the reported numbers stay bit-identical.
- */
-inline ReplayResults
-replayAll(Experiment &experiment, const std::vector<std::string> &policies)
-{
-    ReplayResults results;
-    for (const TraceFlavor flavor :
-         {TraceFlavor::Wikipedia, TraceFlavor::Lucene}) {
-        for (const std::string &policy : policies) {
-            results.runs.emplace(std::make_pair(policy, flavor),
-                                 experiment.run(policy, flavor));
-        }
-    }
-    return results;
-}
-
-/**
- * Standard bench experiment construction (echoes the config).
- * Honors `--threads=N` (default: hardware concurrency; 1 = the
- * sequential baseline for determinism checks and speedup baselines).
+ * Standard bench experiment construction: the config from CLI flags,
+ * with @p defaultQueries queries per trace unless --queries is given
+ * (3000 by default, so a full bench sweep stays tractable), echoed to
+ * @p echo. Honors `--threads=N` (default: hardware concurrency; 1 =
+ * the sequential baseline for determinism checks and speedup
+ * baselines).
  */
 inline Experiment
-makeBenchExperiment(int argc, char **argv, uint64_t defaultQueries = 3000)
+makeBenchExperiment(int argc, char **argv, uint64_t defaultQueries = 3000,
+                    std::ostream &echo = std::cout)
 {
     const CliFlags flags(argc, argv);
     ExperimentConfig config = ExperimentConfig::fromFlags(flags);
     if (!flags.has("queries"))
         config.traceQueries = defaultQueries;
-    config.print(std::cout);
+    config.print(echo);
     return Experiment(std::move(config));
 }
 

@@ -39,6 +39,8 @@ main(int argc, char **argv)
     const bool smoke = flags.getBool("smoke", false);
 
     ExperimentConfig config = ExperimentConfig::fromFlags(flags);
+    const std::string policyName = flags.getString("policy", "taily");
+    Experiment::requirePolicyName(policyName);
     if (!flags.has("docs"))
         config.corpus.numDocs = smoke ? 8000 : 30000;
     if (!flags.has("queries"))
@@ -54,7 +56,6 @@ main(int argc, char **argv)
         config.serving.statsCacheCapacity = 2048;
     config.print(std::cout);
 
-    const std::string policyName = flags.getString("policy", "taily");
     const std::string outPath =
         flags.getString("out", "BENCH_serving.json");
     const double qpsStart = flags.getDouble("qps-start", 100.0);

@@ -36,7 +36,7 @@ main(int argc, char **argv)
     TextTable table({"policy", "avg ms", "p95 ms", "P@10", "ISNs/query",
                      "C_RES", "power W"});
     for (const char *name :
-         {"exhaustive", "aggregation", "rank-s", "redde", "taily",
+         {"exhaustive", "aggregation", "rank-s", "taily",
           "cottage", "cottage-isn", "cottage-without-ml"}) {
         const RunResult result =
             experiment.run(name, TraceFlavor::Wikipedia);

@@ -41,13 +41,14 @@ main(int argc, char **argv)
 {
     const CliFlags flags(argc, argv);
     ExperimentConfig config = ExperimentConfig::fromFlags(flags);
+    const std::string policyName = flags.getString("policy", "cottage");
+    Experiment::requirePolicyName(policyName);
     if (!flags.has("docs"))
         config.corpus.numDocs = 30000;
     if (!flags.has("queries"))
         config.traceQueries = 3000;
     config.print(std::cout);
 
-    const std::string policyName = flags.getString("policy", "cottage");
     const std::string traceName = flags.getString("trace", "wikipedia");
     const TraceFlavor flavor = traceName == "lucene"
                                    ? TraceFlavor::Lucene

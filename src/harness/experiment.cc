@@ -42,6 +42,53 @@ constexpr struct
                    {"wand", construct<WandEvaluator>},
                    {"bmw", construct<BmwEvaluator>}};
 
+/** Every policy makePolicy() and --policy accept, by name. */
+constexpr struct
+{
+    const char *name;
+    std::unique_ptr<Policy> (*make)(Experiment &);
+} kPolicies[] = {
+    {"exhaustive",
+     [](Experiment &) -> std::unique_ptr<Policy> {
+         return std::make_unique<ExhaustivePolicy>();
+     }},
+    {"aggregation",
+     [](Experiment &e) -> std::unique_ptr<Policy> {
+         return std::make_unique<AggregationPolicy>(e.config().aggregation);
+     }},
+    {"rank-s",
+     [](Experiment &e) -> std::unique_ptr<Policy> {
+         return std::make_unique<RankSPolicy>(e.corpus(), e.index(),
+                                              e.config().rankS);
+     }},
+    {"taily",
+     [](Experiment &e) -> std::unique_ptr<Policy> {
+         return std::make_unique<TailyPolicy>(e.index(), e.config().taily);
+     }},
+    {"cottage",
+     [](Experiment &e) -> std::unique_ptr<Policy> {
+         return std::make_unique<CottagePolicy>(e.bank(),
+                                                e.config().cottage);
+     }},
+    {"cottage-isn",
+     [](Experiment &e) -> std::unique_ptr<Policy> {
+         return std::make_unique<CottageIsnPolicy>(e.bank());
+     }},
+    {"cottage-without-ml",
+     [](Experiment &e) -> std::unique_ptr<Policy> {
+         return std::make_unique<CottageWithoutMlPolicy>(
+             e.bank(), e.index(), e.config().cottage, e.config().taily);
+     }},
+    {"oracle",
+     [](Experiment &) -> std::unique_ptr<Policy> {
+         return std::make_unique<OraclePolicy>();
+     }},
+    {"slo-dvfs",
+     [](Experiment &e) -> std::unique_ptr<Policy> {
+         return std::make_unique<SloDvfsPolicy>(e.bank(),
+                                                e.config().sloSeconds);
+     }}};
+
 } // namespace
 
 ExperimentConfig::ExperimentConfig()
@@ -355,32 +402,26 @@ Experiment::groundTruth(TraceFlavor flavor)
     return it->second;
 }
 
+void
+Experiment::requirePolicyName(const std::string &name)
+{
+    std::string names;
+    for (const auto &entry : kPolicies) {
+        if (name == entry.name)
+            return;
+        names += names.empty() ? "" : ", ";
+        names += entry.name;
+    }
+    cliError("unknown policy: " + name,
+             "--policy=NAME with NAME one of " + names);
+}
+
 std::unique_ptr<Policy>
 Experiment::makePolicy(const std::string &name)
 {
-    if (name == "exhaustive")
-        return std::make_unique<ExhaustivePolicy>();
-    if (name == "aggregation")
-        return std::make_unique<AggregationPolicy>(config_.aggregation);
-    if (name == "rank-s")
-        return std::make_unique<RankSPolicy>(*corpus_, *index_,
-                                             config_.rankS);
-    if (name == "redde")
-        return std::make_unique<ReddePolicy>(*corpus_, *index_,
-                                             config_.redde);
-    if (name == "taily")
-        return std::make_unique<TailyPolicy>(*index_, config_.taily);
-    if (name == "cottage")
-        return std::make_unique<CottagePolicy>(bank(), config_.cottage);
-    if (name == "cottage-isn")
-        return std::make_unique<CottageIsnPolicy>(bank());
-    if (name == "cottage-without-ml")
-        return std::make_unique<CottageWithoutMlPolicy>(
-            bank(), *index_, config_.cottage, config_.taily);
-    if (name == "oracle")
-        return std::make_unique<OraclePolicy>();
-    if (name == "slo-dvfs")
-        return std::make_unique<SloDvfsPolicy>(bank(), config_.sloSeconds);
+    for (const auto &entry : kPolicies)
+        if (name == entry.name)
+            return entry.make(*this);
     fatal("unknown policy: " + name);
 }
 

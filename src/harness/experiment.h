@@ -23,7 +23,6 @@
 #include "obs/query_tracer.h"
 #include "policy/aggregation_policy.h"
 #include "policy/rank_s_policy.h"
-#include "policy/redde_policy.h"
 #include "policy/taily_policy.h"
 #include "predict/training.h"
 #include "serve/scenario.h"
@@ -153,7 +152,6 @@ struct ExperimentConfig
     /** Baseline policy knobs. */
     TailyConfig taily;
     RankSConfig rankS;
-    ReddeConfig redde;
     AggregationPolicyConfig aggregation;
 
     /** Cottage knobs. */
@@ -275,10 +273,17 @@ class Experiment
 
     /**
      * Instantiate a policy by name: exhaustive, aggregation, rank-s,
-     * redde, taily, cottage, cottage-isn, cottage-without-ml, oracle,
+     * taily, cottage, cottage-isn, cottage-without-ml, oracle,
      * slo-dvfs. Fatal on an unknown name.
      */
     std::unique_ptr<Policy> makePolicy(const std::string &name);
+
+    /**
+     * cliError() (exit 2, with the list of valid names) unless
+     * makePolicy() knows @p name: the --policy check a binary runs
+     * before it builds the stack.
+     */
+    static void requirePolicyName(const std::string &name);
 
     /**
      * Replay a flavor's evaluation trace under a policy, resetting

@@ -51,13 +51,6 @@ CentralSampleIndex::sampledFrom(ShardId shard) const
     return sampledPerShard_[shard];
 }
 
-double
-CentralSampleIndex::scaleFactor(ShardId shard) const
-{
-    return static_cast<double>(index_->shardDocs(shard).size()) /
-           static_cast<double>(sampledFrom(shard));
-}
-
 std::vector<ScoredDoc>
 CentralSampleIndex::search(const std::vector<TermId> &terms,
                            std::size_t depth) const

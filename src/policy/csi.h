@@ -3,7 +3,7 @@
  * Central Sample Index (CSI): a small uniform sample of every shard's
  * documents, indexed at the aggregator with the same global scoring
  * statistics. The shared substrate of the CSI family of selective
- * search algorithms — ReDDE [18] and Rank-S [17].
+ * search algorithms, here Rank-S [17].
  */
 
 #ifndef COTTAGE_POLICY_CSI_H
@@ -19,7 +19,7 @@
 
 namespace cottage {
 
-/** Sampled central index with shard attribution and scale factors. */
+/** Sampled central index with shard attribution. */
 class CentralSampleIndex
 {
   public:
@@ -35,12 +35,6 @@ class CentralSampleIndex
 
     /** Sampled documents from one shard. */
     std::size_t sampledFrom(ShardId shard) const;
-
-    /**
-     * ReDDE's scale factor: how many shard documents one sampled
-     * document represents (shard size / sampled count).
-     */
-    double scaleFactor(ShardId shard) const;
 
     /** Top-@p depth CSI results for a query (global DocIds). */
     std::vector<ScoredDoc> search(const std::vector<TermId> &terms,

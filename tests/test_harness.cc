@@ -77,6 +77,10 @@ TEST(ExperimentConfigDeathTest, BadOperatorFlagsExitTwoNotAbort)
                 "k must be >= 1");
     EXPECT_EXIT(parse({"--threads=-1"}), ::testing::ExitedWithCode(2),
                 "threads must be >= 0");
+    // --policy is checked by the binaries that take it, before they
+    // build the stack.
+    EXPECT_EXIT(Experiment::requirePolicyName("redde"),
+                ::testing::ExitedWithCode(2), "unknown policy: redde");
 
     // The boundary cases stay legal: equal thresholds collapse the
     // degrade band (tests/test_serve.cc) rather than abort.

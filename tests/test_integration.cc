@@ -135,6 +135,9 @@ TEST_F(MiniExperiment, TracesAreCachedAndFlavorsDiffer)
 
 TEST_F(MiniExperiment, UnknownPolicyIsFatal)
 {
+    // The fixture's thread pool is live: a fork-style death child
+    // inherits its locks without its threads and can hang.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH((void)experiment_->makePolicy("not-a-policy"),
                  "unknown policy");
 }
