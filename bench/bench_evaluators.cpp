@@ -4,8 +4,9 @@
  * evaluator x query length x block size over a wikipedia-flavor trace
  * on a single whole-corpus index and emits machine-readable JSON
  * (BENCH_evaluators.json) with the work counters and per-query time.
- * scripts/check_bench.py guards the numbers in CI: block-max pruning
- * must score strictly fewer documents than its flat counterpart.
+ * scripts/check_bench.py checks the numbers: block-max pruning must
+ * score strictly fewer documents than its flat counterpart (and, with
+ * --timed on a timed run, take less time per query).
  *
  * Usage: bench_evaluators [--smoke] [--out=FILE] [--docs=] [--queries=]
  *                         [--k=] [--seed=] [--repeats=N] [--no-time]

@@ -10,8 +10,8 @@
  * ns/query (min over interleaved repeats), the aggregate work
  * counters, and a bitwise checksum of the merged top-K (ids AND score
  * doubles) — the checksum must be identical across core counts, the
- * rank-safety half of the driver's contract, and is gated in CI by
- * scripts/check_bench.py --parallelism together with "4 cores beats
+ * rank-safety half of the driver's contract, and is checked by
+ * scripts/check_bench.py together with (under --timed) "4 cores beats
  * 1 core on wall-clock for wand and bmw". An Amdahl serial fraction is
  * fitted per evaluator from the measured speedups; feed it back into
  * the simulator via --speedup-serial-fraction.
@@ -25,8 +25,8 @@
  *
  * --no-time zeroes every wall-clock-derived field (ns_per_query,
  * fitted alpha) so the output is byte-identical across machines and
- * SIMD variants; CI diffs a scalar (-DCOTTAGE_NO_SIMD=ON) run against
- * the SIMD build this way.
+ * SIMD variants; CI cmps a scalar (-DCOTTAGE_NO_SIMD=ON) run against
+ * the committed artifact this way.
  *
  * Usage: bench_parallelism [--smoke] [--no-time] [--out=FILE]
  *                          [--evaluators=maxscore,wand,bmw]

@@ -6,10 +6,10 @@
  * straggler ISN, failover) — and emit machine-readable JSON
  * (BENCH_scenarios.json) with one per-tenant rollup per (scenario,
  * policy) cell: latency percentiles up to p99.9, SLO attainment, shed
- * rate, quality and energy. scripts/check_bench.py --scenarios guards
- * the numbers in CI: every tenant's percentile ladder must be
- * monotone and Cottage must beat slo-dvfs on at least one hostile
- * shape.
+ * rate, quality and energy. scripts/check_bench.py checks the
+ * numbers: every scenario carries the full policy grid, every
+ * tenant's percentile ladder is monotone and Cottage beats slo-dvfs
+ * on at least one hostile shape.
  *
  * Usage: bench_scenarios [--smoke] [--out=FILE] [--qps-scale=4]
  *                        [--scenarios=mixed_poisson,flash_crowd,...]

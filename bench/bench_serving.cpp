@@ -6,9 +6,8 @@
  * saturates, and emit machine-readable JSON (BENCH_serving.json) with
  * one point per QPS rung — latency percentiles, shed/degrade rates,
  * cache hit rates and package power — plus the detected knee.
- * scripts/check_bench.py --serving guards the numbers in CI: the
- * lowest rung must shed nothing and the reported saturation QPS must
- * be positive.
+ * scripts/check_bench.py checks the numbers: the lowest rung must
+ * shed nothing and the reported saturation QPS must be positive.
  *
  * Usage: bench_serving [--smoke] [--out=FILE] [--policy=taily]
  *                      [--qps-start=] [--qps-max=] [--shed-rate=0.01]

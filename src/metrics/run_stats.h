@@ -98,6 +98,9 @@ class RunAccumulator
     /** The summary so far; energy/duration/power as summarizeRun. */
     RunSummary finish(const std::string &policy, const std::string &trace);
 
+    /** The latency series; sorted ascending once finish() has run. */
+    const std::vector<double> &latencies() const { return latencies_; }
+
   private:
     std::vector<double> latencies_;
     RunningStat precision_;

@@ -63,7 +63,7 @@ struct ScenarioConfig
     /**
      * True when the scenario stresses the cluster beyond a stationary
      * mixed load — a flash crowd, a straggler ISN, a failure window.
-     * The bench gate (scripts/check_bench.py --scenarios) requires
+     * The bench gate (scripts/check_bench.py) requires
      * Cottage to beat the slo-dvfs baseline on at least one hostile
      * shape.
      */

@@ -1,8 +1,5 @@
 #include "serve/serving.h"
 
-#include <algorithm>
-#include <functional>
-
 #include "stats/summary.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -86,17 +83,13 @@ ServingFrontEnd::serve(Policy &policy, const QueryTrace &trace,
     summary.offered = trace.size();
     RunAccumulator responses(trace.size());
 
-    // Per-tenant accumulation (multi-tenant scenarios only). Latencies
-    // are collected raw so the rollup can report p99.9 and the SLO's
-    // own evaluation percentile, which RunSummary does not carry.
+    // Per-tenant accumulation (multi-tenant scenarios only): the same
+    // RunAccumulator as the whole run, plus the outcome counters a
+    // TenantSummary adds to it.
     const bool multiTenant = !config_.tenants.empty();
     struct TenantAccumulator
     {
-        std::vector<double> latencies;
-        RunningStat latency;
-        RunningStat precision;
-        RunningStat ndcg;
-        uint64_t offered = 0;
+        RunAccumulator run;
         uint64_t cacheHits = 0;
         uint64_t degraded = 0;
         uint64_t shed = 0;
@@ -227,11 +220,7 @@ ServingFrontEnd::serve(Policy &policy, const QueryTrace &trace,
 
         if (acc != nullptr) {
             const TenantSlo &slo = config_.tenants[tenantIndex];
-            ++acc->offered;
-            acc->latencies.push_back(m.latencySeconds);
-            acc->latency.add(m.latencySeconds);
-            acc->precision.add(m.precisionAtK);
-            acc->ndcg.add(m.ndcgAtK);
+            acc->run.add(m);
             acc->energyJoules += energyJoules;
             // A shed query never meets the SLO; an answered one meets
             // it when it beat the deadline (trivially, with none set).
@@ -297,46 +286,42 @@ ServingFrontEnd::serve(Policy &policy, const QueryTrace &trace,
         for (std::size_t t = 0; t < config_.tenants.size(); ++t) {
             const TenantSlo &slo = config_.tenants[t];
             TenantAccumulator &acc = tenantAccs[t];
+            const RunSummary run = acc.run.finish(policy.name(), trace.name());
+            // finish() sorted the series; p99.9 and the SLO's own
+            // percentile come from it, as RunSummary does not carry them.
+            const std::vector<double> &sorted = acc.run.latencies();
             TenantSummary rollup;
             rollup.tenant = slo.name;
             rollup.deadlineSeconds = slo.deadlineSeconds;
             rollup.latencyPercentile = slo.latencyPercentile;
-            rollup.offered = acc.offered;
-            rollup.completed = acc.offered - acc.shed;
+            rollup.offered = run.queries;
+            rollup.completed = run.queries - acc.shed;
             rollup.cacheHits = acc.cacheHits;
             rollup.degraded = acc.degraded;
             rollup.shedQueries = acc.shed;
             rollup.shedRate =
-                acc.offered == 0
+                run.queries == 0
                     ? 0.0
                     : static_cast<double>(acc.shed) /
-                          static_cast<double>(acc.offered);
-            if (!acc.latencies.empty()) {
-                std::sort(acc.latencies.begin(), acc.latencies.end(),
-                          std::less<double>());
-                rollup.avgLatencySeconds = acc.latency.mean();
-                rollup.p50LatencySeconds =
-                    percentileSorted(acc.latencies, 0.50);
-                rollup.p95LatencySeconds =
-                    percentileSorted(acc.latencies, 0.95);
-                rollup.p99LatencySeconds =
-                    percentileSorted(acc.latencies, 0.99);
-                rollup.p999LatencySeconds =
-                    percentileSorted(acc.latencies, 0.999);
-                rollup.maxLatencySeconds = acc.latencies.back();
-                rollup.sloLatencySeconds = percentileSorted(
-                    acc.latencies, slo.latencyPercentile);
-            }
+                          static_cast<double>(run.queries);
+            rollup.avgLatencySeconds = run.avgLatencySeconds;
+            rollup.p50LatencySeconds = run.p50LatencySeconds;
+            rollup.p95LatencySeconds = run.p95LatencySeconds;
+            rollup.p99LatencySeconds = run.p99LatencySeconds;
+            rollup.p999LatencySeconds = percentileSorted(sorted, 0.999);
+            rollup.maxLatencySeconds = run.maxLatencySeconds;
+            rollup.sloLatencySeconds =
+                percentileSorted(sorted, slo.latencyPercentile);
             rollup.sloAttainment =
-                acc.offered == 0
+                run.queries == 0
                     ? 0.0
                     : static_cast<double>(acc.inDeadline) /
-                          static_cast<double>(acc.offered);
+                          static_cast<double>(run.queries);
             rollup.sloMet = slo.deadlineSeconds == noBudget ||
                             rollup.sloLatencySeconds <=
                                 slo.deadlineSeconds;
-            rollup.avgPrecision = acc.precision.mean();
-            rollup.avgNdcg = acc.ndcg.mean();
+            rollup.avgPrecision = run.avgPrecision;
+            rollup.avgNdcg = run.avgNdcg;
             rollup.energyJoules = acc.energyJoules;
             summary.tenants.push_back(std::move(rollup));
         }

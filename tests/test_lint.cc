@@ -708,25 +708,6 @@ TEST(LintCliDeathTest, BadInputDiesWithExitTwo)
                 ::testing::ExitedWithCode(2), "does not exist");
 }
 
-TEST(LintCli, JsonModeEmitsDeterministicArray)
-{
-    std::string out;
-    const int rc = cli_test::runWith(
-        {"--root", COTTAGE_LINT_FIXTURE_DIR, "--as",
-         "src/fixture/d1_bad.cc", "--json", "d1_bad.cc"},
-        &out, nullptr);
-    EXPECT_EQ(rc, 1);
-    EXPECT_EQ(out.front(), '[');
-    EXPECT_NE(out.find("\"rule\": \"D1\""), std::string::npos);
-    EXPECT_NE(out.find("\"line\": 9"), std::string::npos);
-
-    std::string clean;
-    cli_test::runWith({"--root", COTTAGE_LINT_FIXTURE_DIR, "--as",
-                       "src/fixture/good.cc", "--json", "good.cc"},
-                      &clean, nullptr);
-    EXPECT_EQ(clean, "[]\n");
-}
-
 // --- Lexer regressions ----------------------------------------------
 
 TEST(LintTokenizer, RawStringInsideContinuedPreprocessorLine)

@@ -2,8 +2,7 @@
  * @file
  * cottage_lint CLI implementation.
  *
- *     cottage_lint [--root <dir>] [--as <virtual-path>] [--json]
- *                  [paths...]
+ *     cottage_lint [--root <dir>] [--as <virtual-path>] [paths...]
  *
  * With no paths, scans src/, bench/, tests/ and tools/ under --root
  * (default "."). Directories are walked recursively for .h/.cc/.cpp
@@ -17,10 +16,6 @@
  * --as lints a single file under a pretend repo-relative path, so the
  * path-scoped rules (D2/D3/D7/D9, test exemptions) can be exercised
  * against a file living elsewhere (the fixture suite uses this).
- *
- * --json replaces the human-readable report with a deterministic JSON
- * array of findings, which scripts/check_lint.py diffs against the
- * committed suppression baseline.
  */
 
 #include "cli.h"
@@ -97,40 +92,6 @@ collect(const fs::path &p, std::vector<fs::path> &out)
     out.insert(out.end(), entries.begin(), entries.end());
 }
 
-/** Minimal JSON string escaping for paths and messages. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -139,7 +100,6 @@ runCli(int argc, const char *const *argv, std::ostream &out,
 {
     fs::path root = ".";
     std::string asPath;
-    bool json = false;
     std::vector<std::string> inputs;
 
     for (int i = 1; i < argc; ++i) {
@@ -148,11 +108,9 @@ runCli(int argc, const char *const *argv, std::ostream &out,
             root = argv[++i];
         } else if (arg == "--as" && i + 1 < argc) {
             asPath = argv[++i];
-        } else if (arg == "--json") {
-            json = true;
         } else if (arg == "--help" || arg == "-h") {
             out << "usage: cottage_lint [--root <dir>] "
-                   "[--as <virtual-path>] [--json] [paths...]\n";
+                   "[--as <virtual-path>] [paths...]\n";
             return kExitClean;
         } else if (!arg.empty() && arg[0] == '-') {
             err << "cottage_lint: unknown flag " << arg << "\n";
@@ -213,23 +171,10 @@ runCli(int argc, const char *const *argv, std::ostream &out,
     }
 
     const std::vector<Diagnostic> diags = linter.run();
-    if (json) {
-        out << "[";
-        for (std::size_t i = 0; i < diags.size(); ++i) {
-            const Diagnostic &d = diags[i];
-            out << (i == 0 ? "\n" : ",\n");
-            out << "  {\"file\": \"" << jsonEscape(d.file)
-                << "\", \"line\": " << d.line << ", \"rule\": \""
-                << jsonEscape(d.rule) << "\", \"message\": \""
-                << jsonEscape(d.message) << "\"}";
-        }
-        out << (diags.empty() ? "]\n" : "\n]\n");
-    } else {
-        for (const Diagnostic &d : diags)
-            out << d.format() << "\n";
-        out << "cottage_lint: " << files.size() << " file(s), "
-            << diags.size() << " finding(s)\n";
-    }
+    for (const Diagnostic &d : diags)
+        out << d.format() << "\n";
+    out << "cottage_lint: " << files.size() << " file(s), "
+        << diags.size() << " finding(s)\n";
     return diags.empty() ? kExitClean : kExitFindings;
 }
 

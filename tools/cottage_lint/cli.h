@@ -1,8 +1,8 @@
 /**
  * @file
  * cottage_lint CLI driver, split from main() so the exit semantics
- * (0 = clean, 1 = findings, 2 = bad input) and the --json output can
- * be exercised from the test suite (including as death tests).
+ * (0 = clean, 1 = findings, 2 = bad input) can be exercised from the
+ * test suite (including as death tests).
  */
 
 #ifndef COTTAGE_LINT_CLI_H
@@ -21,9 +21,9 @@ enum CliExit : int {
 };
 
 /**
- * Run the CLI: parse @p argv, scan, print findings to @p out (text or
- * --json) and diagnostics to @p err. Returns a CliExit value; never
- * calls exit() itself.
+ * Run the CLI: parse @p argv, scan, print findings to @p out and
+ * diagnostics to @p err. Returns a CliExit value; never calls exit()
+ * itself.
  */
 int runCli(int argc, const char *const *argv, std::ostream &out,
            std::ostream &err);
