@@ -132,7 +132,34 @@ BM_QualityInference(benchmark::State &state)
     }
 }
 BENCHMARK(BM_QualityInference)
-    ->Args({48, 2})    // bank default
+    ->Args({64, 2})    // bank default (hiddenLayers {64, 64})
+    ->Args({128, 5});  // paper architecture
+
+/**
+ * Cottage's per-ISN quality step as the planner runs it: Table I
+ * features into a fixed array, then both heads from one reused
+ * scratch (one forward pass each, no allocation).
+ */
+void
+BM_QualityEstimateFused(benchmark::State &state)
+{
+    const std::size_t width = static_cast<std::size_t>(state.range(0));
+    const std::size_t depth = static_cast<std::size_t>(state.range(1));
+    const QualityPredictor predictor(
+        10, std::vector<std::size_t>(depth, width), 1);
+    const TermStatsStore &stats = stack().index->termStats(0);
+    MlpScratch scratch;
+    std::size_t q = 0;
+    for (auto _ : state) {
+        const Query &query =
+            stack().trace.query(q++ % stack().trace.size());
+        double features[numQualityFeatures];
+        qualityFeatures(stats, toWeighted(query.terms), features);
+        benchmark::DoNotOptimize(predictor.estimate(features, scratch));
+    }
+}
+BENCHMARK(BM_QualityEstimateFused)
+    ->Args({64, 2})    // bank default
     ->Args({128, 5});  // paper architecture
 
 void
@@ -152,7 +179,7 @@ BM_LatencyInference(benchmark::State &state)
         benchmark::DoNotOptimize(predictor.predictCycles(features));
     }
 }
-BENCHMARK(BM_LatencyInference)->Args({48, 2})->Args({128, 5});
+BENCHMARK(BM_LatencyInference)->Args({64, 2})->Args({128, 5});
 
 /** Algorithm 1 cost at various cluster sizes (paper: O(n log n)). */
 void

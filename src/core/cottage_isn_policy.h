@@ -43,13 +43,14 @@ class CottageIsnPolicy : public Policy
         bool anySelected = false;
         const std::vector<WeightedTerm> terms =
             DistributedEngine::weightedTerms(query);
+        MlpScratch scratch;
         for (ShardId s = 0; s < numShards; ++s) {
-            const std::vector<double> features =
-                qualityFeatures(engine.index().termStats(s), terms);
-            const QualityPredictor &predictor = bank_->quality(s);
+            double features[numQualityFeatures];
+            qualityFeatures(engine.index().termStats(s), terms, features);
+            const HeadEstimate topK =
+                bank_->quality(s).estimateTopK(features, scratch);
             plan.isns[s].participate =
-                predictor.predictTopK(features) > 0 ||
-                predictor.probNonzeroTopK(features) >= threshold_;
+                topK.count > 0 || topK.probNonzero >= threshold_;
             anySelected |= plan.isns[s].participate;
         }
         if (!anySelected) {

@@ -3,8 +3,37 @@
 #include <algorithm>
 
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace cottage {
+
+namespace {
+
+/**
+ * This thread's inference buffers. A per-ISN task runs start to end on
+ * one thread and starts no pool work of its own, so no two tasks ever
+ * share a scratch.
+ */
+MlpScratch &
+threadScratch()
+{
+    thread_local MlpScratch scratch;
+    return scratch;
+}
+
+/**
+ * Recall-biased floor: a head whose non-zero probability clears the
+ * threshold counts as a contributor even when its argmax says 0 (see
+ * CottageConfig).
+ */
+uint32_t
+flooredCount(const HeadEstimate &head, double threshold)
+{
+    return head.count == 0 && head.probNonzero >= threshold ? 1
+                                                            : head.count;
+}
+
+} // namespace
 
 CottagePolicy::CottagePolicy(const PredictorBank &bank, CottageConfig config)
     : bank_(&bank), config_(config)
@@ -14,65 +43,68 @@ CottagePolicy::CottagePolicy(const PredictorBank &bank, CottageConfig config)
 }
 
 void
-CottagePolicy::qualityEstimates(const Query &query,
-                                const DistributedEngine &engine,
+CottagePolicy::qualityEstimates(const DistributedEngine &engine,
+                                const std::vector<WeightedTerm> &terms,
                                 std::vector<uint32_t> &qualityK,
                                 std::vector<uint32_t> &qualityHalf) const
 {
     const ShardId numShards = engine.index().numShards();
     qualityK.resize(numShards);
     qualityHalf.resize(numShards);
-    const std::vector<WeightedTerm> terms =
-        DistributedEngine::weightedTerms(query);
-    for (ShardId s = 0; s < numShards; ++s) {
-        const std::vector<double> features =
-            cottage::qualityFeatures(engine.index().termStats(s), terms);
-        const QualityPredictor &predictor = bank_->quality(s);
-        qualityK[s] = predictor.predictTopK(features);
-        qualityHalf[s] = predictor.predictTopHalf(features);
-        // Recall-biased floor: a shard whose non-zero probability
-        // clears the threshold is treated as a contributor even when
-        // the argmax says 0 (see CottageConfig).
-        if (qualityK[s] == 0 &&
-            predictor.probNonzeroTopK(features) >=
-                config_.participationThreshold) {
-            qualityK[s] = 1;
-        }
-        if (qualityHalf[s] == 0 &&
-            predictor.probNonzeroTopHalf(features) >=
-                config_.halfThreshold) {
-            qualityHalf[s] = 1;
-        }
-    }
+    // Each ISN runs its own predictor (as in the paper's deployment):
+    // one task per shard, each writing only its own slots.
+    ThreadPool::global().parallelFor(0, numShards, [&](std::size_t s) {
+        double features[numQualityFeatures];
+        qualityFeatures(engine.index().termStats(static_cast<ShardId>(s)),
+                        terms, features);
+        const QualityEstimate estimate =
+            bank_->quality(static_cast<ShardId>(s))
+                .estimate(features, threadScratch());
+        qualityK[s] =
+            flooredCount(estimate.topK, config_.participationThreshold);
+        qualityHalf[s] =
+            flooredCount(estimate.topHalf, config_.halfThreshold);
+    });
 }
 
 std::vector<IsnPrediction>
-CottagePolicy::predictions(const Query &query,
-                           const DistributedEngine &engine) const
+CottagePolicy::predictIsns(const Query &query,
+                           const DistributedEngine &engine,
+                           bool survivorsOnly) const
 {
     const ShardId numShards = engine.index().numShards();
     const FrequencyLadder &ladder = engine.cluster().ladder();
+    const std::vector<WeightedTerm> terms =
+        DistributedEngine::weightedTerms(query);
 
     std::vector<uint32_t> qualityK;
     std::vector<uint32_t> qualityHalf;
-    qualityEstimates(query, engine, qualityK, qualityHalf);
+    qualityEstimates(engine, terms, qualityK, qualityHalf);
 
-    const std::vector<WeightedTerm> terms =
-        DistributedEngine::weightedTerms(query);
     std::vector<IsnPrediction> predictions(numShards);
+    std::vector<ShardId> timed;
     for (ShardId s = 0; s < numShards; ++s) {
         IsnPrediction &prediction = predictions[s];
         prediction.isn = s;
         prediction.qualityK = qualityK[s];
         prediction.qualityHalf = qualityHalf[s];
+        if (!survivorsOnly || prediction.qualityK > 0)
+            timed.push_back(s);
+    }
 
-        const std::vector<double> features =
-            cottage::latencyFeatures(engine.index().termStats(s), terms);
+    // Latency, fanned out like quality over the ISNs that need it.
+
+    ThreadPool::global().parallelFor(0, timed.size(), [&](std::size_t t) {
+        const ShardId s = timed[t];
+        IsnPrediction &prediction = predictions[s];
+        double features[numLatencyFeatures];
+        latencyFeatures(engine.index().termStats(s), terms, features);
         // Conservative (bucket-upper-edge) prediction: a missed
         // deadline drops the whole response, so under-prediction is
         // the expensive direction.
         const double predictedCycles =
-            bank_->latency(s).predictCyclesConservative(features);
+            bank_->latency(s).predictCyclesConservative(features,
+                                                        threadScratch());
 
         // Equivalent latency (Eq. 2): queue backlog ahead of this
         // request plus its own frequency-scaled service time. Queued
@@ -90,8 +122,15 @@ CottagePolicy::predictions(const Query &query,
         prediction.latencyBoosted =
             prediction.backlogSeconds +
             predictedCycles / (ladder.maxGhz() * 1e9);
-    }
+    });
     return predictions;
+}
+
+std::vector<IsnPrediction>
+CottagePolicy::predictions(const Query &query,
+                           const DistributedEngine &engine) const
+{
+    return predictIsns(query, engine, false);
 }
 
 QueryPlan
@@ -107,7 +146,8 @@ CottagePolicy::plan(const Query &query, const DistributedEngine &engine)
     plan.decisionOverheadSeconds = bank_->inferenceOverheadSeconds() +
                                    engine.cluster().network().rttSeconds;
 
-    const std::vector<IsnPrediction> preds = predictions(query, engine);
+    const std::vector<IsnPrediction> preds =
+        predictIsns(query, engine, true);
     const BudgetDecision decision = determineTimeBudget(preds);
 
     if (decision.selected.empty()) {

@@ -91,19 +91,22 @@ class CottagePolicy : public Policy
 
     /**
      * The per-ISN predictions Cottage would report for a query — the
-     * raw material of Fig. 9. Exposed for benches and tests.
+     * raw material of Fig. 9 — with latency filled for every ISN.
+     * Exposed for benches and tests; plan() computes latency only for
+     * the ISNs Algorithm 1 can select.
      */
     std::vector<IsnPrediction>
     predictions(const Query &query, const DistributedEngine &engine) const;
 
   protected:
     /**
-     * Quality estimates (Q^K, Q^{K/2}) per shard. Virtual so the
-     * Cottage-withoutML ablation can swap the learned predictor for
-     * Taily's Gamma estimate while keeping everything else identical.
+     * Quality estimates (Q^K, Q^{K/2}) per shard for a query's
+     * weighted @p terms. Virtual so the Cottage-withoutML ablation can
+     * swap the learned predictor for Taily's Gamma estimate while
+     * keeping everything else identical.
      */
-    virtual void qualityEstimates(const Query &query,
-                                  const DistributedEngine &engine,
+    virtual void qualityEstimates(const DistributedEngine &engine,
+                                  const std::vector<WeightedTerm> &terms,
                                   std::vector<uint32_t> &qualityK,
                                   std::vector<uint32_t> &qualityHalf) const;
 
@@ -111,6 +114,16 @@ class CottagePolicy : public Policy
     const CottageConfig &cottageConfig() const { return config_; }
 
   private:
+    /**
+     * Quality for every ISN, then equivalent latency for every ISN or,
+     * with @p survivorsOnly, only for those with Q^K > 0: Algorithm 1
+     * drops the rest at stage 1 without reading their latency, so
+     * their latency fields stay zero.
+     */
+    std::vector<IsnPrediction> predictIsns(const Query &query,
+                                           const DistributedEngine &engine,
+                                           bool survivorsOnly) const;
+
     const PredictorBank *bank_;
     CottageConfig config_;
 };

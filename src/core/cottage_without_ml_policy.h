@@ -41,15 +41,14 @@ class CottageWithoutMlPolicy : public CottagePolicy
 
   protected:
     void
-    qualityEstimates(const Query &query, const DistributedEngine &engine,
+    qualityEstimates(const DistributedEngine &engine,
+                     const std::vector<WeightedTerm> &terms,
                      std::vector<uint32_t> &qualityK,
                      std::vector<uint32_t> &qualityHalf) const override
     {
         // Same Gamma machinery and cutoff tuning as the Taily
         // baseline; the halved ranking depth supplies the top-K/2
         // signal Algorithm 1 needs.
-        const std::vector<WeightedTerm> terms =
-            DistributedEngine::weightedTerms(query);
         const std::vector<double> expectedK =
             estimator_.expectedTopContributions(terms,
                                                 taily_.rankingDepth);

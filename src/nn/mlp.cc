@@ -46,6 +46,7 @@ MlpClassifier::MlpClassifier(const MlpConfig &config)
         widths.push_back(h);
     }
     widths.push_back(config.numClasses);
+    maxWidth_ = *std::max_element(widths.begin(), widths.end());
 
     Rng rng(config.seed);
     layers_.resize(widths.size() - 1);
@@ -96,26 +97,20 @@ MlpClassifier::fitNormalization(const Dataset &data)
     }
 }
 
-std::vector<double>
-MlpClassifier::normalize(const double *features) const
+void
+MlpClassifier::normalize(const double *features, double *out) const
 {
-    std::vector<double> out(config_.inputDim);
     for (std::size_t f = 0; f < config_.inputDim; ++f)
         out[f] = (features[f] - featureMean_[f]) / featureStd_[f];
-    return out;
 }
 
 void
-MlpClassifier::forward(const Matrix &input,
-                       std::vector<Matrix> &activations) const
+MlpClassifier::forwardBatch(std::vector<Matrix> &activations) const
 {
-    activations.clear();
-    activations.reserve(layers_.size() + 1);
-    activations.push_back(input);
     for (std::size_t l = 0; l < layers_.size(); ++l) {
         const Layer &layer = layers_[l];
-        Matrix z(activations.back().rows(), layer.weights.cols());
-        matmul(activations.back(), layer.weights, z);
+        Matrix &z = activations[l + 1];
+        matmul(activations[l], layer.weights, z);
         const bool hidden = l + 1 < layers_.size();
         for (std::size_t r = 0; r < z.rows(); ++r) {
             double *row = z.row(r);
@@ -125,7 +120,6 @@ MlpClassifier::forward(const Matrix &input,
                     row[c] = 0.0; // ReLU
             }
         }
-        activations.push_back(std::move(z));
     }
 }
 
@@ -145,10 +139,24 @@ MlpClassifier::train(const Dataset &data, std::size_t iterations,
     std::size_t cursor = 0;
 
     const std::size_t batchSize = std::min(adam.batchSize, data.size());
-    Matrix batch(batchSize, config_.inputDim);
     std::vector<uint32_t> batchLabels(batchSize);
-    std::vector<Matrix> activations;
     double lastLoss = 0.0;
+
+    // Every buffer an iteration touches, shaped once: activations[0]
+    // is the normalized minibatch, activations[l + 1] layer l's
+    // output; deltas[l] is the loss gradient at layer l's output.
+    std::vector<Matrix> activations;
+    std::vector<Matrix> deltas;
+    std::vector<Matrix> gradW;
+    std::vector<std::vector<double>> gradB;
+    activations.emplace_back(batchSize, config_.inputDim);
+    for (const Layer &layer : layers_) {
+        activations.emplace_back(batchSize, layer.weights.cols());
+        deltas.emplace_back(batchSize, layer.weights.cols());
+        gradW.emplace_back(layer.weights.rows(), layer.weights.cols());
+        gradB.emplace_back(layer.bias.size());
+    }
+    Matrix &batch = activations.front();
 
     for (std::size_t iter = 0; iter < iterations; ++iter) {
         // Assemble the next minibatch (reshuffle at epoch boundaries).
@@ -158,16 +166,15 @@ MlpClassifier::train(const Dataset &data, std::size_t iterations,
                 cursor = 0;
             }
             const std::size_t sample = order[cursor++];
-            const std::vector<double> normalized =
-                normalize(data.features(sample));
-            std::copy(normalized.begin(), normalized.end(), batch.row(b));
+            normalize(data.features(sample), batch.row(b));
             batchLabels[b] = data.label(sample);
         }
 
-        forward(batch, activations);
+        forwardBatch(activations);
 
         // Softmax + cross-entropy gradient at the output.
-        Matrix delta = activations.back();
+        Matrix &delta = deltas.back();
+        delta = activations.back(); // same shape: copies in place
         double batchLoss = 0.0;
         for (std::size_t r = 0; r < batchSize; ++r) {
             double *row = delta.row(r);
@@ -190,18 +197,20 @@ MlpClassifier::train(const Dataset &data, std::size_t iterations,
         for (std::size_t l = layers_.size(); l-- > 0;) {
             Layer &layer = layers_[l];
             const Matrix &activationIn = activations[l];
+            const Matrix &delta = deltas[l];
 
-            Matrix gradW(layer.weights.rows(), layer.weights.cols());
-            matmulTransposeA(activationIn, delta, gradW);
-            std::vector<double> gradB(layer.bias.size(), 0.0);
+            Matrix &layerGradW = gradW[l];
+            matmulTransposeA(activationIn, delta, layerGradW);
+            std::vector<double> &layerGradB = gradB[l];
+            std::fill(layerGradB.begin(), layerGradB.end(), 0.0);
             for (std::size_t r = 0; r < delta.rows(); ++r) {
                 const double *row = delta.row(r);
                 for (std::size_t c = 0; c < delta.cols(); ++c)
-                    gradB[c] += row[c];
+                    layerGradB[c] += row[c];
             }
 
             if (l > 0) {
-                Matrix next(delta.rows(), layer.weights.rows());
+                Matrix &next = deltas[l - 1];
                 matmulTransposeB(delta, layer.weights, next);
                 // ReLU derivative: gate by the post-activation sign.
                 for (std::size_t r = 0; r < next.rows(); ++r) {
@@ -212,7 +221,6 @@ MlpClassifier::train(const Dataset &data, std::size_t iterations,
                             row[c] = 0.0;
                     }
                 }
-                delta = std::move(next);
             }
 
             // Adam.
@@ -226,7 +234,7 @@ MlpClassifier::train(const Dataset &data, std::size_t iterations,
                     adam.learningRate * mHat / (std::sqrt(vHat) + adam.epsilon);
             };
             for (std::size_t i = 0; i < layer.weights.size(); ++i) {
-                update(layer.weights.data()[i], gradW.data()[i],
+                update(layer.weights.data()[i], layerGradW.data()[i],
                        layer.mWeights.data()[i], layer.vWeights.data()[i]);
                 // Decoupled (AdamW-style) weight decay.
                 if (adam.weightDecay > 0.0) {
@@ -236,23 +244,31 @@ MlpClassifier::train(const Dataset &data, std::size_t iterations,
                 }
             }
             for (std::size_t c = 0; c < layer.bias.size(); ++c)
-                update(layer.bias[c], gradB[c], layer.mBias[c],
+                update(layer.bias[c], layerGradB[c], layer.mBias[c],
                        layer.vBias[c]);
         }
     }
     return lastLoss;
 }
 
-std::vector<double>
-MlpClassifier::forwardSingle(const std::vector<double> &input) const
+const double *
+MlpClassifier::forward(const double *features, MlpScratch &scratch) const
 {
-    std::vector<double> current = input;
-    std::vector<double> next;
+    if (scratch.ping.size() < maxWidth_) {
+        scratch.ping.resize(maxWidth_);
+        scratch.pong.resize(maxWidth_);
+    }
+    double *current = scratch.ping.data();
+    double *next = scratch.pong.data();
+    normalize(features, current);
+    std::size_t fanIn = config_.inputDim;
     for (std::size_t l = 0; l < layers_.size(); ++l) {
         const Layer &layer = layers_[l];
         const std::size_t fanOut = layer.weights.cols();
-        next.assign(layer.bias.begin(), layer.bias.end());
-        for (std::size_t i = 0; i < current.size(); ++i) {
+        // Inputs outer, outputs inner: each output accumulates bias,
+        // then input 0, 1, ... in order, whatever the vector width.
+        std::copy(layer.bias.begin(), layer.bias.end(), next);
+        for (std::size_t i = 0; i < fanIn; ++i) {
             const double v = current[i];
             if (v == 0.0)
                 continue;
@@ -262,13 +278,14 @@ MlpClassifier::forwardSingle(const std::vector<double> &input) const
         }
         const bool hidden = l + 1 < layers_.size();
         if (hidden) {
-            for (double &v : next)
-                if (v < 0.0)
-                    v = 0.0;
+            for (std::size_t j = 0; j < fanOut; ++j)
+                if (next[j] < 0.0)
+                    next[j] = 0.0;
         }
-        current.swap(next);
+        std::swap(current, next);
+        fanIn = fanOut;
     }
-    softmaxRow(current.data(), current.size());
+    softmaxRow(current, fanIn);
     return current;
 }
 
@@ -276,9 +293,10 @@ double
 MlpClassifier::loss(const Dataset &data) const
 {
     COTTAGE_CHECK(!data.empty());
+    MlpScratch scratch;
     double total = 0.0;
     for (std::size_t i = 0; i < data.size(); ++i) {
-        const auto probs = forwardSingle(normalize(data.features(i)));
+        const double *probs = forward(data.features(i), scratch);
         total -= std::log(std::max(probs[data.label(i)], 1e-12));
     }
     return total / static_cast<double>(data.size());
@@ -288,18 +306,26 @@ double
 MlpClassifier::accuracy(const Dataset &data) const
 {
     COTTAGE_CHECK(!data.empty());
+    MlpScratch scratch;
     std::size_t correct = 0;
     for (std::size_t i = 0; i < data.size(); ++i)
-        correct += predict(data.features(i)) == data.label(i);
+        correct += predict(data.features(i), scratch) == data.label(i);
     return static_cast<double>(correct) / static_cast<double>(data.size());
+}
+
+uint32_t
+MlpClassifier::predict(const double *features, MlpScratch &scratch) const
+{
+    const double *probs = forward(features, scratch);
+    return static_cast<uint32_t>(
+        std::max_element(probs, probs + config_.numClasses) - probs);
 }
 
 uint32_t
 MlpClassifier::predict(const double *features) const
 {
-    const auto probs = forwardSingle(normalize(features));
-    return static_cast<uint32_t>(
-        std::max_element(probs.begin(), probs.end()) - probs.begin());
+    MlpScratch scratch;
+    return predict(features, scratch);
 }
 
 uint32_t
@@ -312,13 +338,15 @@ MlpClassifier::predict(const std::vector<double> &features) const
 std::vector<double>
 MlpClassifier::probabilities(const double *features) const
 {
-    return forwardSingle(normalize(features));
+    MlpScratch scratch;
+    const double *probs = forward(features, scratch);
+    return std::vector<double>(probs, probs + config_.numClasses);
 }
 
 double
 MlpClassifier::expectedClass(const double *features) const
 {
-    const auto probs = forwardSingle(normalize(features));
+    const std::vector<double> probs = probabilities(features);
     double expected = 0.0;
     for (std::size_t c = 0; c < probs.size(); ++c)
         expected += static_cast<double>(c) * probs[c];

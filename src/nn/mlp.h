@@ -56,6 +56,19 @@ struct AdamConfig
     double weightDecay = 0.0;
 };
 
+/**
+ * Caller-owned buffers for single-sample inference. One scratch serves
+ * any number of networks of any widths: forward() grows it to the
+ * widest layer it meets and never shrinks it, so after the first call
+ * per network shape inference allocates nothing. Not thread-safe: give
+ * each concurrent caller its own.
+ */
+struct MlpScratch
+{
+    std::vector<double> ping;
+    std::vector<double> pong;
+};
+
 /** ReLU MLP classifier trained with Adam on softmax cross-entropy. */
 class MlpClassifier
 {
@@ -87,7 +100,18 @@ class MlpClassifier
     /** Classification accuracy over a dataset, in [0, 1]. */
     double accuracy(const Dataset &data) const;
 
+    /**
+     * Softmax distribution of one raw (unnormalized) sample, computed
+     * in @p scratch: the features are standardized into one buffer and
+     * the layers ping-pong between the two. Returns a pointer to
+     * numClasses probabilities, valid until the next call that uses
+     * the same scratch. predict, probabilities, expectedClass, loss
+     * and accuracy all run exactly this arithmetic.
+     */
+    const double *forward(const double *features, MlpScratch &scratch) const;
+
     /** Most probable class of a single sample. */
+    uint32_t predict(const double *features, MlpScratch &scratch) const;
     uint32_t predict(const double *features) const;
     uint32_t predict(const std::vector<double> &features) const;
 
@@ -122,20 +146,24 @@ class MlpClassifier
         std::vector<double> vBias;
     };
 
-    /** Forward pass for a batch; fills activations_ (post-ReLU). */
-    void forward(const Matrix &input, std::vector<Matrix> &activations) const;
+    /**
+     * Batch forward pass: activations[0] holds the normalized input;
+     * fills activations[1..] (post-ReLU for hidden layers, logits for
+     * the last), which must already have their batch shapes.
+     */
+    void forwardBatch(std::vector<Matrix> &activations) const;
 
-    /** Apply normalization to one raw sample. */
-    std::vector<double> normalize(const double *features) const;
-
-    /** Softmax probabilities of one normalized sample (no batch). */
-    std::vector<double> forwardSingle(const std::vector<double> &input) const;
+    /** Standardize one raw sample into @p out (inputDim values). */
+    void normalize(const double *features, double *out) const;
 
     MlpConfig config_;
     std::vector<Layer> layers_;
     std::vector<double> featureMean_;
     std::vector<double> featureStd_;
     uint64_t adamStep_ = 0;
+
+    /** Widest of the input and every layer output: the scratch size. */
+    std::size_t maxWidth_ = 0;
 };
 
 } // namespace cottage

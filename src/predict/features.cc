@@ -59,11 +59,11 @@ latencyFeatureName(std::size_t index)
     return latencyNames[index];
 }
 
-std::vector<double>
+void
 qualityFeatures(const TermStatsStore &stats,
-                const std::vector<WeightedTerm> &terms)
+                const std::vector<WeightedTerm> &terms, double *features)
 {
-    std::vector<double> features(numQualityFeatures, 0.0);
+    std::fill(features, features + numQualityFeatures, 0.0);
     for (const WeightedTerm &wt : terms) {
         const TermStats *ts = stats.get(wt.term);
         if (ts == nullptr)
@@ -80,6 +80,14 @@ qualityFeatures(const TermStatsStore &stats,
         foldMax(features[8], w * w * ts->scoreVariance);
         foldMax(features[9], logCount(ts->postingLength));
     }
+}
+
+std::vector<double>
+qualityFeatures(const TermStatsStore &stats,
+                const std::vector<WeightedTerm> &terms)
+{
+    std::vector<double> features(numQualityFeatures);
+    qualityFeatures(stats, terms, features.data());
     return features;
 }
 
@@ -89,11 +97,11 @@ qualityFeatures(const TermStatsStore &stats, const std::vector<TermId> &terms)
     return qualityFeatures(stats, toWeighted(terms));
 }
 
-std::vector<double>
+void
 latencyFeatures(const TermStatsStore &stats,
-                const std::vector<WeightedTerm> &terms)
+                const std::vector<WeightedTerm> &terms, double *features)
 {
-    std::vector<double> features(numLatencyFeatures, 0.0);
+    std::fill(features, features + numLatencyFeatures, 0.0);
     features[5] = static_cast<double>(terms.size()); // query length
     for (const WeightedTerm &wt : terms) {
         const TermStats *ts = stats.get(wt.term);
@@ -115,6 +123,14 @@ latencyFeatures(const TermStatsStore &stats,
         foldMax(features[13], w * w * ts->scoreVariance);
         foldMax(features[14], w * ts->idf);
     }
+}
+
+std::vector<double>
+latencyFeatures(const TermStatsStore &stats,
+                const std::vector<WeightedTerm> &terms)
+{
+    std::vector<double> features(numLatencyFeatures);
+    latencyFeatures(stats, terms, features.data());
     return features;
 }
 

@@ -48,6 +48,11 @@ std::vector<double> qualityFeatures(const TermStatsStore &stats,
 std::vector<double> qualityFeatures(const TermStatsStore &stats,
                                     const std::vector<WeightedTerm> &terms);
 
+/** Allocation-free form: fills @p features (numQualityFeatures values). */
+void qualityFeatures(const TermStatsStore &stats,
+                     const std::vector<WeightedTerm> &terms,
+                     double *features);
+
 /**
  * Table II feature vector of a query on one shard. Query length is the
  * only non-MAX feature (it is a property of the query itself).
@@ -58,6 +63,11 @@ std::vector<double> latencyFeatures(const TermStatsStore &stats,
 /** Personalized variant; see the quality overload. */
 std::vector<double> latencyFeatures(const TermStatsStore &stats,
                                     const std::vector<WeightedTerm> &terms);
+
+/** Allocation-free form: fills @p features (numLatencyFeatures values). */
+void latencyFeatures(const TermStatsStore &stats,
+                     const std::vector<WeightedTerm> &terms,
+                     double *features);
 
 } // namespace cottage
 

@@ -107,6 +107,13 @@ LatencyPredictor::predictCyclesConservative(
 }
 
 double
+LatencyPredictor::predictCyclesConservative(const double *features,
+                                            MlpScratch &scratch) const
+{
+    return buckets_.upperCycles(model_.predict(features, scratch));
+}
+
+double
 LatencyPredictor::expectedCycles(const std::vector<double> &features) const
 {
     COTTAGE_CHECK(features.size() == numLatencyFeatures);

@@ -89,6 +89,13 @@ class LatencyPredictor
     double predictCyclesConservative(
         const std::vector<double> &features) const;
 
+    /**
+     * The same prediction from a Table II feature array
+     * (numLatencyFeatures values), computed in caller-owned scratch.
+     */
+    double predictCyclesConservative(const double *features,
+                                     MlpScratch &scratch) const;
+
     /** Probability-weighted expected cycles (smoother estimate). */
     double expectedCycles(const std::vector<double> &features) const;
 

@@ -1,5 +1,6 @@
 #include "predict/quality_predictor.h"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 
@@ -20,6 +21,19 @@ headConfig(std::size_t k, std::size_t numClasses,
     config.hiddenLayers = hiddenLayers;
     config.seed = seed;
     return config;
+}
+
+/** Argmax and 1 - P[class 0] of one head's softmax row. */
+HeadEstimate
+headEstimate(const MlpClassifier &head, const double *features,
+             MlpScratch &scratch)
+{
+    const double *probs = head.forward(features, scratch);
+    HeadEstimate estimate;
+    estimate.count = static_cast<uint32_t>(
+        std::max_element(probs, probs + head.config().numClasses) - probs);
+    estimate.probNonzero = 1.0 - probs[0];
+    return estimate;
 }
 
 } // namespace
@@ -48,6 +62,22 @@ QualityPredictor::train(const Dataset &topK, const Dataset &topHalf,
     const double loss = headK_.train(topK, iterations, adam);
     headHalf_.train(topHalf, iterations, adam);
     return loss;
+}
+
+QualityEstimate
+QualityPredictor::estimate(const double *features, MlpScratch &scratch) const
+{
+    QualityEstimate estimate;
+    estimate.topK = headEstimate(headK_, features, scratch);
+    estimate.topHalf = headEstimate(headHalf_, features, scratch);
+    return estimate;
+}
+
+HeadEstimate
+QualityPredictor::estimateTopK(const double *features,
+                               MlpScratch &scratch) const
+{
+    return headEstimate(headK_, features, scratch);
 }
 
 uint32_t

@@ -21,6 +21,26 @@
 
 namespace cottage {
 
+/** What one quality head says about one query on one ISN. */
+struct HeadEstimate
+{
+    /** Most probable contribution count (the head's argmax). */
+    uint32_t count = 0;
+
+    /** Probability of a non-zero contribution, 1 - P[class 0]. */
+    double probNonzero = 0.0;
+};
+
+/** Both heads' estimates: everything Cottage reads per ISN. */
+struct QualityEstimate
+{
+    /** Contribution to the final top-K (Q^K). */
+    HeadEstimate topK;
+
+    /** Contribution to the final top-K/2 (Q^{K/2}). */
+    HeadEstimate topHalf;
+};
+
 /** Two-headed MLP quality model for one ISN. */
 class QualityPredictor
 {
@@ -43,6 +63,18 @@ class QualityPredictor
      */
     double train(const Dataset &topK, const Dataset &topHalf,
                  std::size_t iterations, const AdamConfig &adam = {});
+
+    /**
+     * Both heads on one Table I feature vector (numQualityFeatures
+     * values): one forward pass per head, in @p scratch. Bit-identical
+     * to the four single-value calls below.
+     */
+    QualityEstimate estimate(const double *features,
+                             MlpScratch &scratch) const;
+
+    /** The top-K head alone: one forward pass. */
+    HeadEstimate estimateTopK(const double *features,
+                              MlpScratch &scratch) const;
 
     /** Predicted number of documents in the final top-K (Q^K). */
     uint32_t predictTopK(const std::vector<double> &features) const;

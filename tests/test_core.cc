@@ -457,5 +457,123 @@ TEST_F(CottageFixture, BudgetSlackOnlyWidensDeadline)
     }
 }
 
+/**
+ * The plan Cottage would build from the full per-ISN predictions:
+ * latency for every ISN, then Algorithm 1 and the step-6 grid. plan()
+ * computes latency only for ISNs with Q^K > 0 and must match this
+ * field by field. Sets @p fellBack when Algorithm 1 selects nothing.
+ */
+QueryPlan
+referencePlan(const CottagePolicy &policy, const PredictorBank &bank,
+              const CottageConfig &config, const Query &query,
+              const DistributedEngine &engine, bool &fellBack)
+{
+    const ShardId numShards = engine.index().numShards();
+    const BudgetDecision decision =
+        determineTimeBudget(policy.predictions(query, engine));
+    fellBack = decision.selected.empty();
+    if (fellBack)
+        return QueryPlan::allIsns(numShards);
+
+    const std::vector<IsnPrediction> preds =
+        policy.predictions(query, engine);
+    QueryPlan plan;
+    plan.isns.assign(numShards, IsnDirective{});
+    for (IsnDirective &directive : plan.isns)
+        directive.participate = false;
+    plan.decisionOverheadSeconds = bank.inferenceOverheadSeconds() +
+                                   engine.cluster().network().rttSeconds;
+    plan.budgetSeconds = decision.budgetSeconds * config.budgetSlack;
+    for (ShardId isn : decision.selected) {
+        const IsnServerSim &server = engine.cluster().isn(isn);
+        const uint32_t maxCores =
+            std::min(config.maxCoresPerQuery, server.workers());
+        std::vector<double> backlogByCores(maxCores);
+        for (uint32_t c = 1; c <= maxCores; ++c)
+            backlogByCores[c - 1] =
+                server.backlogSeconds(query.arrivalSeconds, c);
+        const CoreFreqChoice choice = chooseCoresAndFrequency(
+            backlogByCores, preds[isn].serviceCycles,
+            decision.budgetSeconds, engine.cluster().ladder(),
+            server.speedupCurve(), engine.cluster().power(), maxCores,
+            config.isnPowerCapWatts, bank.coreCycleFactors(),
+            config.dvfsPowerSaving);
+        plan.isns[isn].participate = true;
+        plan.isns[isn].freqGhz = choice.freqGhz;
+        plan.isns[isn].cores = choice.cores;
+    }
+    return plan;
+}
+
+/** Exact (bitwise for doubles) equality of two plans. */
+void
+expectSamePlan(const QueryPlan &actual, const QueryPlan &expected,
+               const char *policy, std::size_t query)
+{
+    ASSERT_EQ(actual.isns.size(), expected.isns.size());
+    EXPECT_EQ(actual.budgetSeconds, expected.budgetSeconds)
+        << policy << " query " << query;
+    EXPECT_EQ(actual.decisionOverheadSeconds,
+              expected.decisionOverheadSeconds)
+        << policy << " query " << query;
+    for (std::size_t s = 0; s < actual.isns.size(); ++s) {
+        EXPECT_EQ(actual.isns[s].participate, expected.isns[s].participate)
+            << policy << " query " << query << " isn " << s;
+        EXPECT_EQ(actual.isns[s].freqGhz, expected.isns[s].freqGhz)
+            << policy << " query " << query << " isn " << s;
+        EXPECT_EQ(actual.isns[s].cores, expected.isns[s].cores)
+            << policy << " query " << query << " isn " << s;
+    }
+}
+
+TEST_F(CottageFixture, PlanEqualsPlanFromFullPredictions)
+{
+    // Queries arrive 0.2 ms apart and the learned plans execute, so
+    // queues build and backlogs (per gang width) vary across queries.
+    // A final out-of-vocabulary query gives the Gamma estimate zero
+    // quality everywhere: the allIsns fallback.
+    std::vector<Query> queries(trainTrace_.queries().begin(),
+                               trainTrace_.queries().begin() + 250);
+    Query unknown;
+    unknown.terms = {999999};
+    queries.push_back(unknown);
+    for (std::size_t q = 0; q < queries.size(); ++q)
+        queries[q].arrivalSeconds = static_cast<double>(q) * 2e-4;
+
+    for (uint32_t maxCores : {1u, 2u}) {
+        ClusterSim cluster(4, FrequencyLadder(), PowerModel(),
+                           NetworkModel{}, 2);
+        DistributedEngine engine(*index_, cluster, evaluator_);
+        CottageConfig config;
+        config.maxCoresPerQuery = maxCores;
+        CottagePolicy learned(*bank_, config);
+        CottageWithoutMlPolicy gamma(*bank_, *index_, config);
+
+        std::size_t fallbacks = 0;
+        uint32_t widest = 0;
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+            const Query &query = queries[q];
+            for (CottagePolicy *policy :
+                 {static_cast<CottagePolicy *>(&learned),
+                  static_cast<CottagePolicy *>(&gamma)})
+            {
+                bool fellBack = false;
+                const QueryPlan expected = referencePlan(
+                    *policy, *bank_, config, query, engine, fellBack);
+                const QueryPlan actual = policy->plan(query, engine);
+                expectSamePlan(actual, expected, policy->name(), q);
+                fallbacks += fellBack;
+                for (const IsnDirective &directive : actual.isns)
+                    widest = std::max(widest, directive.cores);
+            }
+            if (q + 1 < queries.size())
+                engine.execute(query, learned.plan(query, engine),
+                               engine.globalTopK(query));
+        }
+        EXPECT_GE(fallbacks, 1u) << "maxCores " << maxCores;
+        EXPECT_EQ(widest, maxCores);
+    }
+}
+
 } // namespace
 } // namespace cottage

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "nn/dataset.h"
@@ -244,6 +246,160 @@ TEST(Mlp, NormalizationHandlesConstantFeatures)
     const auto probs = model.probabilities(data.features(0));
     for (double p : probs)
         EXPECT_FALSE(std::isnan(p));
+}
+
+/**
+ * A model read back from its serialized form (17 significant digits
+ * round-trip every double), for an independent reference forward pass.
+ */
+struct ReferenceNet
+{
+    std::vector<std::size_t> widths;
+    std::vector<double> mean;
+    std::vector<double> stddev;
+    std::vector<std::vector<double>> weights; // widths[l] x widths[l+1]
+    std::vector<std::vector<double>> bias;
+};
+
+ReferenceNet
+readBack(const MlpClassifier &model)
+{
+    std::stringstream buffer;
+    model.save(buffer);
+    std::string magic;
+    int version = 0;
+    std::size_t inputDim = 0;
+    std::size_t numClasses = 0;
+    std::size_t numHidden = 0;
+    buffer >> magic >> version >> inputDim >> numClasses >> numHidden;
+    ReferenceNet net;
+    net.widths = {inputDim};
+    for (std::size_t h = 0; h < numHidden; ++h) {
+        std::size_t width = 0;
+        buffer >> width;
+        net.widths.push_back(width);
+    }
+    net.widths.push_back(numClasses);
+    net.mean.resize(inputDim);
+    net.stddev.resize(inputDim);
+    for (double &m : net.mean)
+        buffer >> m;
+    for (double &d : net.stddev)
+        buffer >> d;
+    for (std::size_t l = 0; l + 1 < net.widths.size(); ++l) {
+        net.weights.emplace_back(net.widths[l] * net.widths[l + 1]);
+        for (double &w : net.weights.back())
+            buffer >> w;
+        net.bias.emplace_back(net.widths[l + 1]);
+        for (double &b : net.bias.back())
+            buffer >> b;
+    }
+    return net;
+}
+
+/**
+ * Reference single-sample inference in the documented order: each
+ * output starts at its bias and adds input 0, 1, ... (zero inputs
+ * skipped), ReLU on hidden layers, then a max-shifted softmax.
+ */
+std::vector<double>
+referenceProbabilities(const ReferenceNet &net, const double *features)
+{
+    std::vector<double> current(net.widths.front());
+    for (std::size_t f = 0; f < current.size(); ++f)
+        current[f] = (features[f] - net.mean[f]) / net.stddev[f];
+    for (std::size_t l = 0; l < net.weights.size(); ++l) {
+        const std::size_t fanOut = net.widths[l + 1];
+        std::vector<double> next = net.bias[l];
+        for (std::size_t i = 0; i < current.size(); ++i) {
+            if (current[i] == 0.0)
+                continue;
+            for (std::size_t j = 0; j < fanOut; ++j)
+                next[j] += current[i] * net.weights[l][i * fanOut + j];
+        }
+        if (l + 1 < net.weights.size()) {
+            for (double &v : next)
+                v = std::max(v, 0.0);
+        }
+        current = next;
+    }
+    const double peak = *std::max_element(current.begin(), current.end());
+    double total = 0.0;
+    for (double &v : current) {
+        v = std::exp(v - peak);
+        total += v;
+    }
+    for (double &v : current)
+        v /= total;
+    return current;
+}
+
+TEST(Mlp, ScratchForwardIsBitIdenticalAcrossNetworkShapes)
+{
+    // The predictor bank's three shapes (quality top-K head, top-K/2
+    // head, latency model) plus the paper's 5 x 128, visited in turn
+    // with one scratch: it grows for the widest and is then reused
+    // with stale values past narrower layers' widths.
+    struct Shape
+    {
+        std::size_t inputDim;
+        std::size_t numClasses;
+        std::vector<std::size_t> hidden;
+    };
+    const std::vector<Shape> shapes = {
+        {10, 11, {64, 64}},
+        {10, 6, {64, 64}},
+        {15, 20, {64, 64}},
+        {10, 11, {128, 128, 128, 128, 128}},
+        {3, 2, {5}},
+    };
+    Rng rng(77);
+    std::vector<MlpClassifier> models;
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        MlpConfig config;
+        config.inputDim = shapes[i].inputDim;
+        config.numClasses = shapes[i].numClasses;
+        config.hiddenLayers = shapes[i].hidden;
+        config.seed = 100 + i;
+        MlpClassifier model(config);
+        Dataset data(config.inputDim);
+        for (int n = 0; n < 40; ++n) {
+            std::vector<double> sample(config.inputDim);
+            for (double &v : sample)
+                v = rng.uniform(-5.0, 20.0);
+            data.add(sample, static_cast<uint32_t>(n) % 2);
+        }
+        model.fitNormalization(data);
+        model.train(data, 20); // non-zero biases
+        models.push_back(std::move(model));
+    }
+
+    std::vector<ReferenceNet> references;
+    for (const MlpClassifier &model : models)
+        references.push_back(readBack(model));
+
+    MlpScratch scratch;
+    for (int round = 0; round < 30; ++round) {
+        for (std::size_t m = 0; m < models.size(); ++m) {
+            const MlpClassifier &model = models[m];
+            std::vector<double> sample(model.config().inputDim);
+            for (double &v : sample)
+                v = rng.uniform(0.0, 1.0) < 0.2 ? 0.0
+                                                : rng.uniform(-5.0, 20.0);
+            const std::vector<double> viaWrapper =
+                model.probabilities(sample.data());
+            const std::vector<double> reference =
+                referenceProbabilities(references[m], sample.data());
+            const double *viaScratch = model.forward(sample.data(), scratch);
+            ASSERT_EQ(viaWrapper.size(), model.config().numClasses);
+            EXPECT_EQ(0, std::memcmp(viaScratch, viaWrapper.data(),
+                                     viaWrapper.size() * sizeof(double)));
+            EXPECT_EQ(0, std::memcmp(viaScratch, reference.data(),
+                                     reference.size() * sizeof(double)));
+            EXPECT_EQ(model.predict(sample.data(), scratch),
+                      model.predict(sample));
+        }
+    }
 }
 
 TEST(Dataset, StoresSamplesContiguously)

@@ -381,8 +381,9 @@ TEST(ObsIntegration, SpansReconcileWithMeasurementsAndEnergy)
         uint32_t partialSpans = 0;
         for (std::size_t i = 0; i < record.isns.size(); ++i) {
             const IsnSpan &span = record.isns[i];
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_GT(span.isn, record.isns[i - 1].isn);
+            }
             EXPECT_GE(span.serviceStartSeconds, record.dispatchSeconds);
             EXPECT_NEAR(span.queueWaitSeconds,
                         span.serviceStartSeconds - record.dispatchSeconds,

@@ -419,6 +419,19 @@ INSTANTIATE_TEST_SUITE_P(
                       GangCell{"maxscore", 2}, GangCell{"maxscore", 4}),
     gangCellName);
 
+TEST(ParallelDeterminismCottageAblations, ReplayIsBitExactAcrossThreadCounts)
+{
+    // The ablations share Cottage's per-ISN inference: cottage-isn
+    // runs the top-K head alone, cottage-without-ml fans the latency
+    // predictions out over the pool after a Gamma quality estimate.
+    ExperimentConfig config = smallConfig("maxscore");
+    config.trainQueries = 120;
+    config.train.iterations = 60;
+    Experiment experiment(std::move(config));
+    expectDeterministicReplay(experiment, "cottage-isn");
+    expectDeterministicReplay(experiment, "cottage-without-ml");
+}
+
 TEST(ParallelDeterminismGangs, TraceStreamIsBitExactAcrossThreadsWithGangs)
 {
     // The recorded span stream — including each span's gang width

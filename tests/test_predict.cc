@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -265,6 +266,51 @@ TEST_F(PredictFixture, LatencyPredictorConservativeDominates)
                   predictor.predictCycles(features));
         EXPECT_GT(predictor.expectedCycles(features), 0.0);
     }
+}
+
+TEST_F(PredictFixture, ScratchCallsMatchSingleValueCalls)
+{
+    // One scratch serves both quality heads and the latency model in
+    // turn, as in the planner; every fused value must equal its
+    // single-call counterpart exactly.
+    const TrainingSets sets =
+        buildTrainingSets(*index_, evaluator_, work_, trainTrace_, 12);
+    QualityPredictor quality(10, {24, 24}, 11);
+    quality.train(sets.shards[2].qualityK, sets.shards[2].qualityHalf, 150);
+    LatencyPredictor latency(sets.buckets, {32}, 12);
+    latency.train(sets.shards[2].latency, 150);
+
+    MlpScratch scratch;
+    std::size_t nonzero = 0;
+    for (std::size_t q = 0; q < trainTrace_.size(); ++q) {
+        const std::vector<WeightedTerm> terms =
+            toWeighted(trainTrace_.query(q).terms);
+        const TermStatsStore &stats = index_->termStats(2);
+        const std::vector<double> qf = qualityFeatures(stats, terms);
+        const std::vector<double> lf = latencyFeatures(stats, terms);
+        double qArray[numQualityFeatures];
+        double lArray[numLatencyFeatures];
+        qualityFeatures(stats, terms, qArray);
+        latencyFeatures(stats, terms, lArray);
+        ASSERT_TRUE(std::equal(qf.begin(), qf.end(), qArray));
+        ASSERT_TRUE(std::equal(lf.begin(), lf.end(), lArray));
+
+        const QualityEstimate estimate = quality.estimate(qArray, scratch);
+        EXPECT_EQ(estimate.topK.count, quality.predictTopK(qf));
+        EXPECT_EQ(estimate.topHalf.count, quality.predictTopHalf(qf));
+        EXPECT_EQ(estimate.topK.probNonzero, quality.probNonzeroTopK(qf));
+        EXPECT_EQ(estimate.topHalf.probNonzero,
+                  quality.probNonzeroTopHalf(qf));
+        EXPECT_EQ(latency.predictCyclesConservative(lArray, scratch),
+                  latency.predictCyclesConservative(lf));
+        const HeadEstimate topK = quality.estimateTopK(qArray, scratch);
+        EXPECT_EQ(topK.count, estimate.topK.count);
+        EXPECT_EQ(topK.probNonzero, estimate.topK.probNonzero);
+        nonzero += estimate.topK.count > 0;
+    }
+    // Both argmax branches are exercised.
+    EXPECT_GT(nonzero, 0u);
+    EXPECT_LT(nonzero, trainTrace_.size());
 }
 
 TEST_F(PredictFixture, LatencyPredictorSaveLoadRoundTrip)
