@@ -3,7 +3,8 @@
  * Microbenchmarks (google-benchmark) of the hot paths: top-K retrieval
  * under the three flat evaluators (exhaustive, MaxScore, WAND;
  * bench_evaluators covers bmw), predictor inference (default and paper
- * architectures), feature extraction, Algorithm 1 itself, and the
+ * architectures), the training GEMM kernel and one training step,
+ * feature extraction, Algorithm 1 itself, and the
  * Gamma machinery — quantifying the per-query overhead budget Cottage
  * spends on coordination (paper: ~150 us total).
  */
@@ -17,6 +18,8 @@
 #include "index/exhaustive_evaluator.h"
 #include "index/maxscore_evaluator.h"
 #include "index/wand_evaluator.h"
+#include "nn/matrix.h"
+#include "nn/mlp.h"
 #include "policy/taily_estimator.h"
 #include "predict/features.h"
 #include "predict/latency_predictor.h"
@@ -180,6 +183,89 @@ BM_LatencyInference(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LatencyInference)->Args({64, 2})->Args({128, 5});
+
+/**
+ * The training GEMM kernel: C (m x n) = A (m x k) * B (k x n), A^T * B
+ * or A * B^T (arg 3: 0, 1, 2), at the bank's 64-row minibatch. The
+ * per_mac counter is the kernel's time per multiply-add.
+ */
+void
+BM_Matmul(benchmark::State &state)
+{
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    const auto n = static_cast<std::size_t>(state.range(2));
+    const int64_t variant = state.range(3);
+    const uint64_t seed = 5;
+    Rng rng(seed);
+    const auto filled = [&](std::size_t rows, std::size_t cols) {
+        Matrix matrix(rows, cols);
+        for (std::size_t i = 0; i < matrix.size(); ++i)
+            matrix.data()[i] = rng.uniform(-1.0, 1.0);
+        return matrix;
+    };
+    const Matrix a = variant == 1 ? filled(k, m) : filled(m, k);
+    const Matrix b = variant == 2 ? filled(n, k) : filled(k, n);
+    Matrix packed(k, n);
+    Matrix c(m, n);
+    for (auto _ : state) {
+        if (variant == 0)
+            matmul(a, b, c);
+        else if (variant == 1)
+            matmulTransposeA(a, b, c);
+        else
+            matmulTransposeB(a, b, c, packed);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["per_mac"] = benchmark::Counter(
+        static_cast<double>(m * k * n),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_Matmul)
+    ->ArgNames({"m", "k", "n", "variant"})
+    ->Args({64, 64, 64, 0})  // hidden layer forward
+    ->Args({64, 64, 64, 1})  // hidden weight gradient
+    ->Args({64, 64, 64, 2})  // hidden delta back-propagation
+    ->Args({64, 10, 64, 0})  // input layer forward (10 features)
+    ->Args({10, 64, 64, 1})  // input weight gradient: 10-row edge
+    ->Args({64, 64, 11, 0})  // output layer forward (11 classes)
+    ->Args({64, 11, 64, 2}); // output delta back-propagation
+
+/**
+ * Minibatch Adam iterations of the bank's default network (10-64-64-11,
+ * batch 64): forward, softmax, back-propagation and the update. Each
+ * train() call shapes its buffers and shuffles the sample order once,
+ * so the per_step counter amortizes that over 20 steps.
+ */
+void
+BM_MlpTrainStep(benchmark::State &state)
+{
+    const uint64_t seed = 6;
+    Rng rng(seed);
+    Dataset data(10);
+    for (int i = 0; i < 512; ++i) {
+        std::vector<double> sample(10);
+        for (double &v : sample)
+            v = rng.uniform(0.0, 1.0) < 0.25 ? 0.0 : rng.uniform(-2.0, 6.0);
+        data.add(sample, static_cast<uint32_t>(i % 11));
+    }
+    MlpConfig config;
+    config.inputDim = 10;
+    config.numClasses = 11;
+    config.hiddenLayers = {64, 64};
+    MlpClassifier model(config);
+    model.fitNormalization(data);
+    const std::size_t steps = 20;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(model.train(data, steps));
+    state.counters["per_step"] = benchmark::Counter(
+        static_cast<double>(steps),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MlpTrainStep);
 
 /** Algorithm 1 cost at various cluster sizes (paper: O(n log n)). */
 void

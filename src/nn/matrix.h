@@ -2,9 +2,18 @@
  * @file
  * Minimal dense row-major matrix used by the neural-network library.
  *
- * The paper's predictors are small MLPs (5 hidden layers x 128
- * neurons); a straightforward loop-nest GEMM is plenty at this scale
- * and keeps the code dependency-free and auditable.
+ * The three products training needs share one register-blocked GEMM
+ * kernel (matrix.cc): it holds a 4 x 4 block of C in registers,
+ * broadcasts A(i, p), loads B(p, j..j+3) and walks p in ascending
+ * order. Its contract is bit identity with the plain loop nest: every
+ * C(i, j) starts at +0.0 and adds a * b for p = 0, 1, ... in order,
+ * with a separate multiply and add (no FMA in any build). Blocking and
+ * vectorizing across j reorder no element's sum, so trained weights do
+ * not depend on the block shape, the vector width or the CPU. A zero
+ * A(i, p) is multiplied like any other value: while every operand is
+ * finite it adds +-0 to a sum that started at +0.0, which changes
+ * nothing, so the kernel spends no branch on it. (0 * Inf is NaN, one
+ * reason MlpClassifier::load rejects non-finite weights.)
  */
 
 #ifndef COTTAGE_NN_MATRIX_H
@@ -69,6 +78,14 @@ void matmulTransposeA(const Matrix &a, const Matrix &b, Matrix &c);
 
 /** C = A (m x k) * B^T (n x k -> k x n view). C must be m x n. */
 void matmulTransposeB(const Matrix &a, const Matrix &b, Matrix &c);
+
+/**
+ * matmulTransposeB that packs B^T into caller-owned @p packed, which
+ * must be k x n, so a training loop shapes the buffer once instead of
+ * allocating one per product.
+ */
+void matmulTransposeB(const Matrix &a, const Matrix &b, Matrix &c,
+                      Matrix &packed);
 
 } // namespace cottage
 

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <ostream>
 
+#include "util/checked_reader.h"
 #include "util/logging.h"
 
 namespace cottage {
@@ -26,6 +27,35 @@ softmaxRow(double *row, std::size_t n)
     }
     for (std::size_t i = 0; i < n; ++i)
         row[i] /= total;
+}
+
+/**
+ * One Adam step over @p n parameters, then decoupled (AdamW-style)
+ * weight decay when @p weightDecay > 0. The hyper-parameters are
+ * copied into locals so the compiler can see that no store to a
+ * parameter changes them, which lets it vectorize the loop; sqrt and
+ * division round the same in a vector lane as in a scalar.
+ */
+void
+adamUpdate(const AdamConfig &adam, double correction1, double correction2,
+           std::size_t n, double *param, const double *grad, double *m,
+           double *v, double weightDecay)
+{
+    const double beta1 = adam.beta1;
+    const double beta2 = adam.beta2;
+    const double learningRate = adam.learningRate;
+    const double epsilon = adam.epsilon;
+    for (std::size_t i = 0; i < n; ++i) {
+        m[i] = beta1 * m[i] + (1.0 - beta1) * grad[i];
+        v[i] = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i];
+        const double mHat = m[i] / correction1;
+        const double vHat = v[i] / correction2;
+        param[i] -= learningRate * mHat / (std::sqrt(vHat) + epsilon);
+    }
+    if (weightDecay > 0.0) {
+        for (std::size_t i = 0; i < n; ++i)
+            param[i] -= learningRate * weightDecay * param[i];
+    }
 }
 
 } // namespace
@@ -111,13 +141,14 @@ MlpClassifier::forwardBatch(std::vector<Matrix> &activations) const
         const Layer &layer = layers_[l];
         Matrix &z = activations[l + 1];
         matmul(activations[l], layer.weights, z);
+        // Selects, not branches: about half the pre-activations are
+        // negative in no predictable order.
         const bool hidden = l + 1 < layers_.size();
         for (std::size_t r = 0; r < z.rows(); ++r) {
             double *row = z.row(r);
             for (std::size_t c = 0; c < z.cols(); ++c) {
-                row[c] += layer.bias[c];
-                if (hidden && row[c] < 0.0)
-                    row[c] = 0.0; // ReLU
+                const double v = row[c] + layer.bias[c];
+                row[c] = hidden && v < 0.0 ? 0.0 : v; // ReLU
             }
         }
     }
@@ -144,16 +175,20 @@ MlpClassifier::train(const Dataset &data, std::size_t iterations,
 
     // Every buffer an iteration touches, shaped once: activations[0]
     // is the normalized minibatch, activations[l + 1] layer l's
-    // output; deltas[l] is the loss gradient at layer l's output.
+    // output; deltas[l] is the loss gradient at layer l's output;
+    // packedW[l] holds layer l's weights transposed for the delta
+    // back-propagation.
     std::vector<Matrix> activations;
     std::vector<Matrix> deltas;
     std::vector<Matrix> gradW;
+    std::vector<Matrix> packedW;
     std::vector<std::vector<double>> gradB;
     activations.emplace_back(batchSize, config_.inputDim);
     for (const Layer &layer : layers_) {
         activations.emplace_back(batchSize, layer.weights.cols());
         deltas.emplace_back(batchSize, layer.weights.cols());
         gradW.emplace_back(layer.weights.rows(), layer.weights.cols());
+        packedW.emplace_back(layer.weights.cols(), layer.weights.rows());
         gradB.emplace_back(layer.bias.size());
     }
     Matrix &batch = activations.front();
@@ -211,41 +246,24 @@ MlpClassifier::train(const Dataset &data, std::size_t iterations,
 
             if (l > 0) {
                 Matrix &next = deltas[l - 1];
-                matmulTransposeB(delta, layer.weights, next);
+                matmulTransposeB(delta, layer.weights, next, packedW[l]);
                 // ReLU derivative: gate by the post-activation sign.
                 for (std::size_t r = 0; r < next.rows(); ++r) {
                     double *row = next.row(r);
                     const double *act = activationIn.row(r);
-                    for (std::size_t c = 0; c < next.cols(); ++c) {
-                        if (act[c] <= 0.0)
-                            row[c] = 0.0;
-                    }
+                    for (std::size_t c = 0; c < next.cols(); ++c)
+                        row[c] = act[c] <= 0.0 ? 0.0 : row[c];
                 }
             }
 
             // Adam.
-            const auto update = [&](double &param, double grad, double &m,
-                                    double &v) {
-                m = adam.beta1 * m + (1.0 - adam.beta1) * grad;
-                v = adam.beta2 * v + (1.0 - adam.beta2) * grad * grad;
-                const double mHat = m / correction1;
-                const double vHat = v / correction2;
-                param -=
-                    adam.learningRate * mHat / (std::sqrt(vHat) + adam.epsilon);
-            };
-            for (std::size_t i = 0; i < layer.weights.size(); ++i) {
-                update(layer.weights.data()[i], layerGradW.data()[i],
-                       layer.mWeights.data()[i], layer.vWeights.data()[i]);
-                // Decoupled (AdamW-style) weight decay.
-                if (adam.weightDecay > 0.0) {
-                    layer.weights.data()[i] -= adam.learningRate *
-                                               adam.weightDecay *
-                                               layer.weights.data()[i];
-                }
-            }
-            for (std::size_t c = 0; c < layer.bias.size(); ++c)
-                update(layer.bias[c], layerGradB[c], layer.mBias[c],
-                       layer.vBias[c]);
+            adamUpdate(adam, correction1, correction2, layer.weights.size(),
+                       layer.weights.data(), layerGradW.data(),
+                       layer.mWeights.data(), layer.vWeights.data(),
+                       adam.weightDecay);
+            adamUpdate(adam, correction1, correction2, layer.bias.size(),
+                       layer.bias.data(), layerGradB.data(),
+                       layer.mBias.data(), layer.vBias.data(), 0.0);
         }
     }
     return lastLoss;
@@ -391,32 +409,35 @@ MlpClassifier::save(std::ostream &out) const
 MlpClassifier
 MlpClassifier::load(std::istream &in)
 {
-    std::string magic;
-    int version = 0;
-    in >> magic >> version;
-    if (magic != "cottage-mlp" || version != 1)
-        fatal("not a cottage MLP model file");
+    CheckedReader reader(in, "cottage MLP model");
+    if (reader.word("magic") != "cottage-mlp")
+        reader.fail("not a cottage MLP model file");
+    reader.integer("version", 1, 1);
 
+    // Bound the shape before anything is allocated: no layer wider
+    // than kMaxLoadWidth, no more than kMaxLoadHiddenLayers of them.
     MlpConfig config;
-    std::size_t numHidden = 0;
-    in >> config.inputDim >> config.numClasses >> numHidden;
-    config.hiddenLayers.resize(numHidden);
+    config.inputDim = reader.integer("input width", 1, kMaxLoadWidth);
+    config.numClasses = reader.integer("class count", 2, kMaxLoadWidth);
+    config.hiddenLayers.resize(
+        reader.integer("hidden layer count", 0, kMaxLoadHiddenLayers));
     for (std::size_t &h : config.hiddenLayers)
-        in >> h;
+        h = reader.integer("hidden layer width", 1, kMaxLoadWidth);
 
     MlpClassifier model(config);
     for (double &m : model.featureMean_)
-        in >> m;
-    for (double &s : model.featureStd_)
-        in >> s;
+        m = reader.finite("feature mean");
+    for (double &s : model.featureStd_) {
+        s = reader.finite("feature std");
+        if (!(s > 0.0))
+            reader.fail("feature std: must be positive");
+    }
     for (Layer &layer : model.layers_) {
         for (std::size_t i = 0; i < layer.weights.size(); ++i)
-            in >> layer.weights.data()[i];
+            layer.weights.data()[i] = reader.finite("weight");
         for (double &b : layer.bias)
-            in >> b;
+            b = reader.finite("bias");
     }
-    if (!in)
-        fatal("truncated cottage MLP model file");
     return model;
 }
 

@@ -127,8 +127,19 @@ class MlpClassifier
     /** Serialize the model (architecture, normalization, weights). */
     void save(std::ostream &out) const;
 
-    /** Restore a model saved with save(). Fatal on malformed input. */
+    /**
+     * Restore a model saved with save(). Malformed input exits 2 with
+     * a diagnostic (CheckedReader): a truncated or non-numeric token,
+     * a NaN or Inf mean, std or weight, a std <= 0, or a shape past
+     * kMaxLoadHiddenLayers / kMaxLoadWidth, checked before allocating.
+     */
     static MlpClassifier load(std::istream &in);
+
+    /** Widest layer load() accepts (the paper's layers are 128 wide). */
+    static constexpr std::size_t kMaxLoadWidth = 1024;
+
+    /** Most hidden layers load() accepts (the paper uses 5). */
+    static constexpr std::size_t kMaxLoadHiddenLayers = 8;
 
     /** Total trainable parameter count. */
     std::size_t numParameters() const;

@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 
+#include "util/checked_reader.h"
 #include "util/logging.h"
 
 namespace cottage {
@@ -154,16 +155,22 @@ LatencyPredictor::save(std::ostream &out) const
 LatencyPredictor
 LatencyPredictor::load(std::istream &in)
 {
-    std::string magic;
-    double minCycles = 0.0;
-    double maxCycles = 0.0;
-    std::size_t count = 0;
-    in >> magic >> minCycles >> maxCycles >> count;
-    if (magic != "cottage-latency")
-        fatal("not a cottage latency-predictor file");
+    CheckedReader reader(in, "cottage latency predictor");
+    if (reader.word("magic") != "cottage-latency")
+        reader.fail("not a cottage latency-predictor file");
+    const double minCycles = reader.finite("min cycles");
+    const double maxCycles = reader.finite("max cycles");
+    const std::size_t count =
+        reader.integer("bucket count", 2, MlpClassifier::kMaxLoadWidth);
+    if (!(minCycles > 0.0 && maxCycles > minCycles))
+        reader.fail("cycle range must satisfy 0 < min < max");
     const CycleBuckets buckets(minCycles, maxCycles, count);
     LatencyPredictor predictor(buckets, {1}, 0);
     predictor.model_ = MlpClassifier::load(in);
+    if (predictor.model_.config().inputDim != numLatencyFeatures ||
+        predictor.model_.config().numClasses != count)
+        reader.fail("model shape does not match the latency features "
+                    "and buckets");
     return predictor;
 }
 

@@ -110,7 +110,11 @@ class LatencyPredictor
     /** Serialize buckets + model. */
     void save(std::ostream &out) const;
 
-    /** Restore a predictor saved with save(). */
+    /**
+     * Restore a predictor saved with save(). Malformed input exits 2
+     * (see MlpClassifier::load), and so do a model whose shape does not match the
+     * buckets and the latency features.
+     */
     static LatencyPredictor load(std::istream &in);
 
   private:

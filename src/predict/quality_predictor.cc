@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 
+#include "util/checked_reader.h"
 #include "util/logging.h"
 
 namespace cottage {
@@ -132,13 +133,20 @@ QualityPredictor::save(std::ostream &out) const
 QualityPredictor
 QualityPredictor::load(std::istream &in)
 {
-    std::string magic;
-    std::size_t k = 0;
-    in >> magic >> k;
-    if (magic != "cottage-quality" || k < 2)
-        fatal("not a cottage quality-predictor file");
+    CheckedReader reader(in, "cottage quality predictor");
+    if (reader.word("magic") != "cottage-quality")
+        reader.fail("not a cottage quality-predictor file");
+    const std::size_t k =
+        reader.integer("k", 2, MlpClassifier::kMaxLoadWidth - 1);
     MlpClassifier headK = MlpClassifier::load(in);
     MlpClassifier headHalf = MlpClassifier::load(in);
+    for (const MlpClassifier *head : {&headK, &headHalf}) {
+        if (head->config().inputDim != numQualityFeatures)
+            reader.fail("a head does not take the quality features");
+    }
+    if (headK.config().numClasses != k + 1 ||
+        headHalf.config().numClasses != k / 2 + 1)
+        reader.fail("head class counts do not match k");
     return QualityPredictor(k, std::move(headK), std::move(headHalf));
 }
 

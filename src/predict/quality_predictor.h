@@ -102,7 +102,11 @@ class QualityPredictor
     /** Serialize both heads. */
     void save(std::ostream &out) const;
 
-    /** Restore a predictor saved with save(). */
+    /**
+     * Restore a predictor saved with save(). Malformed input exits 2
+     * (see MlpClassifier::load), and so do heads whose shapes do not match k and the
+     * quality features.
+     */
     static QualityPredictor load(std::istream &in);
 
   private:

@@ -1,15 +1,24 @@
 #include "predict/training.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 
 #include "index/top_k.h"
+#include "util/checked_reader.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace cottage {
+
+namespace {
+
+/** Most ISNs a saved bank may declare; bounds what load() allocates. */
+constexpr std::size_t kMaxShards = 4096;
+
+} // namespace
 
 TrainingSets
 buildTrainingSets(const ShardedIndex &index, const Evaluator &evaluator,
@@ -151,7 +160,8 @@ PredictorBank::latency(ShardId shard) const
 void
 PredictorBank::setInferenceOverheadSeconds(double seconds)
 {
-    COTTAGE_CHECK_MSG(seconds >= 0.0, "overhead cannot be negative");
+    COTTAGE_CHECK_MSG(std::isfinite(seconds) && seconds >= 0.0,
+                      "overhead must be finite and non-negative");
     inferenceOverhead_ = seconds;
 }
 
@@ -211,13 +221,16 @@ PredictorBank::load(const std::string &directory)
     std::ifstream meta(directory + "/bank.meta");
     if (!meta)
         fatal("cannot read " + directory + "/bank.meta");
-    std::string magic;
-    int version = 0;
-    std::size_t shards = 0;
+    CheckedReader reader(meta, directory + "/bank.meta");
+    if (reader.word("magic") != "cottage-bank")
+        reader.fail("not a cottage predictor-bank directory");
+    reader.integer("version", 1, 1);
+    const std::size_t shards = reader.integer("ISN count", 1, kMaxShards);
+    const double overhead = reader.finite("inference overhead");
+    if (overhead < 0.0)
+        reader.fail("inference overhead: cannot be negative");
     PredictorBank bank;
-    meta >> magic >> version >> shards >> bank.inferenceOverhead_;
-    if (magic != "cottage-bank" || version != 1 || shards == 0)
-        fatal("not a cottage predictor-bank directory");
+    bank.setInferenceOverheadSeconds(overhead);
 
     for (ShardId s = 0; s < shards; ++s) {
         std::ifstream qin(

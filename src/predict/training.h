@@ -112,6 +112,8 @@ class PredictorBank
      * is a property of the deployment, not of the model.
      */
     double inferenceOverheadSeconds() const { return inferenceOverhead_; }
+
+    /** Aborts unless @p seconds is finite and non-negative. */
     void setInferenceOverheadSeconds(double seconds);
 
     /**
@@ -137,7 +139,11 @@ class PredictorBank
      */
     void save(const std::string &directory) const;
 
-    /** Restore a bank saved with save(). Fatal on malformed input. */
+    /**
+     * Restore a bank saved with save(). A malformed bank.meta or model
+     * file exits 2 with a diagnostic; the overhead goes through
+     * setInferenceOverheadSeconds. A missing file is fatal (exit 1).
+     */
     static PredictorBank load(const std::string &directory);
 
   private:

@@ -105,8 +105,9 @@ TEST_F(BlockMaxFixture, BlocksPartitionEveryList)
                 << "term " << list.term << " block " << b;
             EXPECT_EQ(block.lastDoc,
                       list.postings[covered + block.count - 1].doc);
-            if (b + 1 < bm->numBlocks())
+            if (b + 1 < bm->numBlocks()) {
                 EXPECT_EQ(block.count, bm->blockSize());
+            }
             covered += block.count;
         }
         EXPECT_EQ(covered, list.size());

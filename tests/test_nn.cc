@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include "nn/dataset.h"
 #include "nn/matrix.h"
@@ -73,6 +74,91 @@ TEST(Matrix, TransposedVariantsAgreeWithExplicitTranspose)
     matmulTransposeB(x, b, got2);
     for (std::size_t i = 0; i < expected2.size(); ++i)
         EXPECT_NEAR(got2.data()[i], expected2.data()[i], 1e-12);
+}
+
+/**
+ * Entries the training kernels meet: ReLU zeros, -0.0, plain values,
+ * and one all-zero row.
+ */
+Matrix
+kernelOperand(std::size_t rows, std::size_t cols, Rng &rng)
+{
+    Matrix m(rows, cols);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+        const double u = rng.uniform(0.0, 1.0);
+        m.data()[i] = u < 0.3 ? 0.0 : u < 0.4 ? -0.0 : rng.uniform(-1.0, 1.0);
+    }
+    for (std::size_t c = 0; c < cols; ++c)
+        m(rows / 2, c) = 0.0;
+    return m;
+}
+
+/** C(i, j) = +0.0 + A(i, 0) B(0, j) + A(i, 1) B(1, j) + ..., in order. */
+template <class AAt, class BAt>
+Matrix
+naiveProduct(std::size_t m, std::size_t n, std::size_t k, AAt aAt, BAt bAt)
+{
+    Matrix c(m, n);
+    for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (std::size_t p = 0; p < k; ++p)
+                acc += aAt(i, p) * bAt(p, j);
+            c(i, j) = acc;
+        }
+    return c;
+}
+
+bool
+sameBits(const Matrix &a, const Matrix &b)
+{
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Matrix, KernelIsBitIdenticalToNaiveLoopNest)
+{
+    // Every size below, at and past the 4 x 4 register block, so each
+    // row and column remainder path runs, against the plain loop nest
+    // byte for byte.
+    const std::size_t sizes[] = {1, 3, 4, 5, 8, 11, 64};
+    Rng rng(2024);
+    for (std::size_t m : sizes)
+        for (std::size_t n : sizes)
+            for (std::size_t k : sizes) {
+                SCOPED_TRACE(testing::Message()
+                             << "m=" << m << " n=" << n << " k=" << k);
+                Matrix c(m, n);
+
+                const Matrix a = kernelOperand(m, k, rng);
+                const Matrix b = kernelOperand(k, n, rng);
+                matmul(a, b, c);
+                EXPECT_TRUE(sameBits(
+                    c, naiveProduct(
+                           m, n, k,
+                           [&](std::size_t i, std::size_t p) { return a(i, p); },
+                           [&](std::size_t p, std::size_t j) { return b(p, j); })));
+
+                const Matrix at = kernelOperand(k, m, rng);
+                matmulTransposeA(at, b, c);
+                EXPECT_TRUE(sameBits(
+                    c, naiveProduct(
+                           m, n, k,
+                           [&](std::size_t i, std::size_t p) { return at(p, i); },
+                           [&](std::size_t p, std::size_t j) { return b(p, j); })));
+
+                const Matrix bt = kernelOperand(n, k, rng);
+                matmulTransposeB(a, bt, c);
+                EXPECT_TRUE(sameBits(
+                    c, naiveProduct(
+                           m, n, k,
+                           [&](std::size_t i, std::size_t p) { return a(i, p); },
+                           [&](std::size_t p, std::size_t j) { return bt(j, p); })));
+                Matrix packed(k, n);
+                Matrix c2(m, n);
+                matmulTransposeB(a, bt, c2, packed);
+                EXPECT_TRUE(sameBits(c, c2));
+            }
 }
 
 /** Two interleaved Gaussian blobs per class on a ring: learnable. */
@@ -400,6 +486,163 @@ TEST(Mlp, ScratchForwardIsBitIdenticalAcrossNetworkShapes)
                       model.predict(sample));
         }
     }
+}
+
+uint64_t
+fnv1a(const std::string &bytes)
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (const unsigned char ch : bytes) {
+        hash ^= ch;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+/**
+ * FNV-1a of save() after 200 Adam steps of a {64, 64}-hidden network on
+ * seeded data with ReLU-style zero features.
+ */
+uint64_t
+trainedWeightsHash(std::size_t inputDim, std::size_t numClasses,
+                   uint64_t seed)
+{
+    Rng rng(seed);
+    Dataset data(inputDim);
+    for (int n = 0; n < 300; ++n) {
+        std::vector<double> sample(inputDim);
+        double score = 0.0;
+        for (std::size_t f = 0; f < inputDim; ++f) {
+            sample[f] = rng.uniform(0.0, 1.0) < 0.25
+                            ? 0.0
+                            : rng.uniform(-2.0, 6.0);
+            score += (f % 3 == 0 ? 1.0 : -0.5) * sample[f];
+        }
+        data.add(sample,
+                 static_cast<uint32_t>(std::fabs(score)) % numClasses);
+    }
+    MlpConfig config;
+    config.inputDim = inputDim;
+    config.numClasses = numClasses;
+    config.hiddenLayers = {64, 64};
+    config.seed = seed;
+    MlpClassifier model(config);
+    model.fitNormalization(data);
+    model.train(data, 200);
+    std::ostringstream out;
+    model.save(out);
+    return fnv1a(out.str());
+}
+
+TEST(Mlp, TrainedWeightsMatchGoldenHash)
+{
+    // The predictor bank's two shapes: latency model and quality top-K
+    // head (10-64-64-11) and the 15-64-64-20 head. The constants were
+    // captured from the plain loop-nest kernels; the register-blocked
+    // kernel must reproduce their bytes in the AVX2 clone (default
+    // build on an AVX2 host) and in the default clone (COTTAGE_NO_SIMD).
+    EXPECT_EQ(trainedWeightsHash(10, 11, 31), 0x262707d5b0c4b667ull);
+    EXPECT_EQ(trainedWeightsHash(15, 20, 47), 0xac2fe64d5268c404ull);
+}
+
+/** save() text of a small trained model, for corrupting. */
+std::string
+savedModelText()
+{
+    const Dataset train = blobDataset(3, 30, 8);
+    MlpConfig config;
+    config.inputDim = 2;
+    config.numClasses = 3;
+    config.hiddenLayers = {4};
+    MlpClassifier model(config);
+    model.fitNormalization(train);
+    model.train(train, 10);
+    std::ostringstream out;
+    model.save(out);
+    return out.str();
+}
+
+/** Replace the @p index-th whitespace-separated token of @p text. */
+std::string
+replaceToken(const std::string &text, std::size_t index,
+             const std::string &token)
+{
+    std::istringstream in(text);
+    std::ostringstream out;
+    std::string word;
+    for (std::size_t i = 0; in >> word; ++i)
+        out << (i == index ? token : word) << ' ';
+    return out.str();
+}
+
+void
+loadText(const std::string &text)
+{
+    std::istringstream in(text);
+    MlpClassifier::load(in);
+}
+
+// Token layout of savedModelText(): 0 magic, 1 version, 2 input width,
+// 3 class count, 4 hidden layer count, 5 hidden width, 6-7 means,
+// 8-9 stds, then 2 x 4 weights, 4 biases, 4 x 3 weights, 3 biases.
+TEST(MlpLoad, AcceptsItsOwnOutput)
+{
+    const std::string text = savedModelText();
+    std::istringstream in(text);
+    const MlpClassifier model = MlpClassifier::load(in);
+    std::ostringstream again;
+    model.save(again);
+    EXPECT_EQ(again.str(), text);
+}
+
+TEST(MlpLoadDeathTest, RejectsTruncatedInput)
+{
+    const std::string text = savedModelText();
+    EXPECT_EXIT(loadText(text.substr(0, text.size() / 2)),
+                ::testing::ExitedWithCode(2), "input ends early");
+    EXPECT_EXIT(loadText(""), ::testing::ExitedWithCode(2),
+                "magic: input ends early");
+}
+
+TEST(MlpLoadDeathTest, RejectsNonFiniteNumbers)
+{
+    const std::string text = savedModelText();
+    EXPECT_EXIT(loadText(replaceToken(text, 12, "nan")),
+                ::testing::ExitedWithCode(2), "weight: expected a finite");
+    EXPECT_EXIT(loadText(replaceToken(text, 12, "-inf")),
+                ::testing::ExitedWithCode(2), "weight: expected a finite");
+    EXPECT_EXIT(loadText(replaceToken(text, 6, "inf")),
+                ::testing::ExitedWithCode(2), "mean: expected a finite");
+    EXPECT_EXIT(loadText(replaceToken(text, 7, "1e999")),
+                ::testing::ExitedWithCode(2), "mean: expected a finite");
+    EXPECT_EXIT(loadText(replaceToken(text, 20, "0.5x")),
+                ::testing::ExitedWithCode(2), "bias: expected a number");
+}
+
+TEST(MlpLoadDeathTest, RejectsNonPositiveStd)
+{
+    const std::string text = savedModelText();
+    EXPECT_EXIT(loadText(replaceToken(text, 8, "0")),
+                ::testing::ExitedWithCode(2), "std: must be positive");
+    EXPECT_EXIT(loadText(replaceToken(text, 9, "-1")),
+                ::testing::ExitedWithCode(2), "std: must be positive");
+}
+
+TEST(MlpLoadDeathTest, BoundsShapeBeforeAllocating)
+{
+    const std::string text = savedModelText();
+    EXPECT_EXIT(loadText(replaceToken(text, 4, "1000000000")),
+                ::testing::ExitedWithCode(2), "hidden layer count");
+    EXPECT_EXIT(loadText(replaceToken(text, 5, "99999999999")),
+                ::testing::ExitedWithCode(2), "hidden layer width");
+    EXPECT_EXIT(loadText(replaceToken(text, 2, "0")),
+                ::testing::ExitedWithCode(2), "input width");
+    EXPECT_EXIT(loadText(replaceToken(text, 3, "-3")),
+                ::testing::ExitedWithCode(2), "class count");
+    EXPECT_EXIT(loadText(replaceToken(text, 1, "2")),
+                ::testing::ExitedWithCode(2), "version");
+    EXPECT_EXIT(loadText(replaceToken(text, 0, "cottage-mlq")),
+                ::testing::ExitedWithCode(2), "not a cottage MLP model");
 }
 
 TEST(Dataset, StoresSamplesContiguously)

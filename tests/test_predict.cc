@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 
@@ -361,6 +363,62 @@ TEST_F(PredictFixture, PredictorBankSaveLoadRoundTrip)
                 break; // spot check is enough per shard
         }
     }
+}
+
+/** Write a bank.meta holding @p text into a fresh directory. */
+std::string
+bankDirWithMeta(const std::string &name, const std::string &text)
+{
+    const std::string dir = ::testing::TempDir() + "cottage-meta-" + name;
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/bank.meta") << text;
+    return dir;
+}
+
+TEST(PredictorBankLoadDeathTest, RejectsMalformedManifest)
+{
+    // bank.meta is read before any model file, so these directories
+    // need nothing else.
+    const struct
+    {
+        const char *name;
+        const char *meta;
+        const char *diagnostic;
+    } cases[] = {
+        {"nan", "cottage-bank 1 4 nan\n", "inference overhead: expected a finite"},
+        {"inf", "cottage-bank 1 4 inf\n", "inference overhead: expected a finite"},
+        {"huge", "cottage-bank 1 4 1e400\n", "inference overhead: expected a finite"},
+        {"negative", "cottage-bank 1 4 -1e-4\n", "cannot be negative"},
+        {"truncated", "cottage-bank 1 4\n", "input ends early"},
+        {"no-isns", "cottage-bank 1 0 1.5e-4\n", "ISN count"},
+        {"version", "cottage-bank 7 4 1.5e-4\n", "version"},
+        {"magic", "cottage-bunk 1 4 1.5e-4\n", "not a cottage predictor-bank"},
+    };
+    for (const auto &c : cases) {
+        const std::string dir = bankDirWithMeta(c.name, c.meta);
+        EXPECT_EXIT(PredictorBank::load(dir), ::testing::ExitedWithCode(2),
+                    c.diagnostic)
+            << c.name;
+    }
+}
+
+TEST_F(PredictFixture, InferenceOverheadSetterRejectsNonFinite)
+{
+    // The bank trains on the thread pool, so fork-style death tests
+    // could hang on a lock a pool thread holds.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    PredictorTrainConfig config;
+    config.hiddenLayers = {4};
+    config.iterations = 1;
+    PredictorBank bank(*index_, evaluator_, work_, trainTrace_, config);
+    bank.setInferenceOverheadSeconds(2e-4);
+    EXPECT_DOUBLE_EQ(bank.inferenceOverheadSeconds(), 2e-4);
+    EXPECT_DEATH(bank.setInferenceOverheadSeconds(std::nan("")),
+                 "finite and non-negative");
+    EXPECT_DEATH(bank.setInferenceOverheadSeconds(HUGE_VAL),
+                 "finite and non-negative");
+    EXPECT_DEATH(bank.setInferenceOverheadSeconds(-1e-6),
+                 "finite and non-negative");
 }
 
 TEST(Adam, WeightDecayShrinksWeightNorm)

@@ -9,12 +9,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "util/checked_reader.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -312,6 +315,45 @@ TEST(CliValidationDeathTest, BadFlagValuesExitTwoWithUsageHint)
                 "qps-scale.*strictly positive");
     EXPECT_EXIT(cliError("boom", "--flag=N"),
                 ::testing::ExitedWithCode(2), "error: boom");
+}
+
+TEST(CheckedReader, ParsesWellFormedTokens)
+{
+    std::istringstream in("magic 42 -0.1 1.2345678901234567e-05 -0");
+    CheckedReader reader(in, "test file");
+    EXPECT_EQ(reader.word("magic"), "magic");
+    EXPECT_EQ(reader.integer("count", 1, 64), 42u);
+    // The same doubles operator>> reads, to the bit.
+    std::istringstream expected("-0.1 1.2345678901234567e-05 -0");
+    for (int i = 0; i < 3; ++i) {
+        double want = 0.0;
+        expected >> want;
+        const double got = reader.finite("value");
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << i;
+    }
+}
+
+TEST(CheckedReaderDeathTest, RejectsMalformedTokens)
+{
+    const auto readInteger = [](const char *text) {
+        std::istringstream in(text);
+        CheckedReader(in, "test file").integer("count", 1, 64);
+    };
+    const auto readFinite = [](const char *text) {
+        std::istringstream in(text);
+        CheckedReader(in, "test file").finite("value");
+    };
+    EXPECT_EXIT(readInteger(""), ::testing::ExitedWithCode(2),
+                "error: test file: count: input ends early");
+    for (const char *bad : {"0", "65", "+3", "-1", "3.0", "0x10",
+                            "99999999999999999999999"})
+        EXPECT_EXIT(readInteger(bad), ::testing::ExitedWithCode(2),
+                    "count: expected an integer in \\[1, 64\\]")
+            << bad;
+    for (const char *bad : {"nan", "-inf", "1e400", "1.5.2", "x"})
+        EXPECT_EXIT(readFinite(bad), ::testing::ExitedWithCode(2),
+                    "value: expected a")
+            << bad;
 }
 
 TEST(CliValidation, InRangeAndAbsentFlagsPassThrough)
