@@ -43,12 +43,14 @@ main(int argc, char **argv)
     std::vector<double> scores;
     {
         std::vector<double> perDoc(index.numDocs(), 0.0);
+        std::vector<Posting> postings;
         for (TermId term : terms) {
-            const PostingList *list = index.postings(term);
+            const BlockMaxPostingList *list = index.blockMax(term);
             if (list == nullptr)
                 continue;
             const double idf = index.idf(term);
-            for (const Posting &posting : list->postings)
+            list->decode(postings);
+            for (const Posting &posting : postings)
                 perDoc[posting.doc] += index.scorePosting(idf, posting);
         }
         for (double s : perDoc)

@@ -4,14 +4,16 @@
 #include <limits>
 
 #include "index/block_codec.h"
+#include "index/evaluator.h"
+#include "index/inverted_index.h"
 #include "util/logging.h"
 
 namespace cottage {
 
 BlockMaxPostingList::BlockMaxPostingList(
-    const PostingList &list, uint32_t blockSize,
+    TermId term, std::span<const Posting> postings, uint32_t blockSize,
     const std::function<double(const Posting &)> &score)
-    : term_(list.term), count_(list.size()), blockSize_(blockSize)
+    : term_(term), count_(postings.size()), blockSize_(blockSize)
 {
     COTTAGE_CHECK_MSG(blockSize >= 1, "block size must be positive");
     blocks_.reserve((count_ + blockSize - 1) / blockSize);
@@ -37,7 +39,7 @@ BlockMaxPostingList::BlockMaxPostingList(
         deltas.clear();
         freqs.clear();
         for (std::size_t i = begin; i < end; ++i) {
-            const Posting &posting = list.postings[i];
+            const Posting &posting = postings[i];
             // The gap chain restarts at each block: the block's first
             // gap is relative to the *previous block's* lastDoc (or
             // absolute for block 0), so a block decodes standalone.
@@ -101,35 +103,23 @@ BlockMaxPostingList::decodeBlockFreqs(std::size_t b,
 }
 
 void
-BlockMaxPostingList::decodeBlock(std::size_t b,
-                                 std::vector<Posting> &out) const
+BlockMaxPostingList::decode(std::vector<Posting> &out) const
 {
-    COTTAGE_CHECK_MSG(b < blocks_.size(), "block index out of range");
-    const Block &block = blocks_[b];
-    std::vector<uint32_t> docs(streamVByteDecodeCapacity(block.count));
-    std::vector<uint32_t> freqs(streamVByteDecodeCapacity(block.count));
-    const std::size_t freqOffset = decodeBlockDocs(b, docs.data());
-    decodeBlockFreqs(b, freqOffset, freqs.data());
+    std::vector<uint32_t> docs(streamVByteDecodeCapacity(blockSize_));
+    std::vector<uint32_t> freqs(streamVByteDecodeCapacity(blockSize_));
     out.clear();
-    out.reserve(block.count);
-    for (uint32_t i = 0; i < block.count; ++i)
-        out.push_back({docs[i], freqs[i]});
+    out.reserve(count_);
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+        const std::size_t freqOffset = decodeBlockDocs(b, docs.data());
+        decodeBlockFreqs(b, freqOffset, freqs.data());
+        for (uint32_t i = 0; i < blocks_[b].count; ++i)
+            out.push_back({docs[i], freqs[i]});
+    }
 }
 
 BlockMaxCursor::BlockMaxCursor(const BlockMaxPostingList &list,
-                               BlockIo *io)
-    : list_(&list), io_(io), numBlocks_(list.numBlocks())
-{
-    const std::size_t cap = streamVByteDecodeCapacity(list.blockSize());
-    buffer_ = std::make_unique_for_overwrite<uint32_t[]>(2 * cap);
-    docs_ = buffer_.get();
-    freqs_ = buffer_.get() + cap;
-    refreshBlockMeta();
-}
-
-BlockMaxCursor::BlockMaxCursor(const BlockMaxPostingList &list,
-                               BlockIo *io, uint32_t *scratch)
-    : list_(&list), io_(io), numBlocks_(list.numBlocks())
+                               BlockIo &io, uint32_t *scratch)
+    : list_(&list), io_(&io), numBlocks_(list.numBlocks())
 {
     const std::size_t cap = streamVByteDecodeCapacity(list.blockSize());
     docs_ = scratch;
@@ -151,8 +141,7 @@ BlockMaxCursor::decodeCurrentBlock()
     freqOffset_ = list_->decodeBlockDocs(blockIdx_, docs_);
     freqsDecoded_ = false;
     decodedBlock_ = static_cast<std::ptrdiff_t>(blockIdx_);
-    if (io_ != nullptr)
-        ++io_->blocksDecoded;
+    ++io_->blocksDecoded;
 }
 
 void
@@ -160,6 +149,45 @@ BlockMaxCursor::decodeFreqs()
 {
     list_->decodeBlockFreqs(blockIdx_, freqOffset_, freqs_);
     freqsDecoded_ = true;
+}
+
+QueryCursors::QueryCursors(const InvertedIndex &index,
+                           const std::vector<WeightedTerm> &terms,
+                           LocalDocId begin, BlockIo &io)
+{
+    // Size pass: the slab must be fully allocated before the first
+    // cursor is built. The second blockMax() hash probe per term is
+    // far cheaper than a vector of picked lists on short queries.
+    std::size_t slabSlots = 0;
+    std::size_t live = 0;
+    for (const WeightedTerm &wt : terms) {
+        const BlockMaxPostingList *list = index.blockMax(wt.term);
+        if (list != nullptr && !list->empty()) {
+            slabSlots += BlockMaxCursor::scratchSlots(*list);
+            ++live;
+        }
+    }
+    uint32_t *slab = stackSlab_;
+    if (slabSlots > kEvaluatorStackSlabSlots) {
+        heapSlab_ = std::make_unique_for_overwrite<uint32_t[]>(slabSlots);
+        slab = heapSlab_.get();
+    }
+
+    cursors_.reserve(live);
+    for (const WeightedTerm &wt : terms) {
+        const BlockMaxPostingList *list = index.blockMax(wt.term);
+        if (list == nullptr || list->empty())
+            continue;
+        const double bound =
+            wt.weight >= 0.0 ? list->maxScore() * wt.weight : 0.0;
+        cursors_.push_back({BlockMaxCursor(*list, io, slab),
+                            index.idf(wt.term) * wt.weight, bound,
+                            std::max(wt.weight, 0.0)});
+        slab += BlockMaxCursor::scratchSlots(*list);
+    }
+    if (begin > 0)
+        for (TermCursor &tc : cursors_)
+            tc.cursor.positionAt(begin);
 }
 
 } // namespace cottage

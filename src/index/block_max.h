@@ -1,7 +1,8 @@
 /**
  * @file
- * Block-max posting lists: the skip structure behind Block-Max WAND
- * and Block-Max MaxScore.
+ * Block-max posting lists: the index's one postings format. Every
+ * evaluator reads postings through BlockMaxCursor; Block-Max WAND
+ * additionally prunes with the per-block maxima.
  *
  * A list is cut into fixed-size blocks of postings. Per block we keep
  * the last document id, the maximum (unweighted) BM25 contribution of
@@ -22,13 +23,19 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "index/postings.h"
+#include "text/types.h"
 #include "util/logging.h"
 
 namespace cottage {
+
+class InvertedIndex;
+struct WeightedTerm;
 
 /**
  * Block-level I/O accounting shared by all cursors of one evaluation;
@@ -72,15 +79,17 @@ class BlockMaxPostingList
     BlockMaxPostingList() = default;
 
     /**
-     * Build from a flat list (ascending doc ids).
+     * Compress one term's postings (ascending doc ids).
      *
-     * @param list The uncompressed postings.
+     * @param term The term the postings belong to.
+     * @param postings The uncompressed postings; read only here.
      * @param blockSize Postings per block (>= 1).
      * @param score Scores one posting; evaluated once per posting at
      *        build time to fill the per-block maxima. Bounds are stored
      *        unweighted and scaled by the query weight at search time.
      */
-    BlockMaxPostingList(const PostingList &list, uint32_t blockSize,
+    BlockMaxPostingList(TermId term, std::span<const Posting> postings,
+                        uint32_t blockSize,
                         const std::function<double(const Posting &)> &score);
 
     TermId term() const { return term_; }
@@ -135,8 +144,12 @@ class BlockMaxPostingList
     void decodeBlockFreqs(std::size_t b, std::size_t freqOffset,
                           uint32_t *freqs) const;
 
-    /** Decode block @p b into @p out (overwritten, sized to the block). */
-    void decodeBlock(std::size_t b, std::vector<Posting> &out) const;
+    /**
+     * Decode the whole list into @p out (overwritten, sized to the
+     * list): index-time scans read postings through this, never on a
+     * query path.
+     */
+    void decode(std::vector<Posting> &out) const;
 
   private:
     TermId term_ = invalidTerm;
@@ -161,47 +174,42 @@ class BlockMaxPostingList
  * comparison is a plain array read. Frequencies decode lazily, only
  * when a posting is actually scored.
  *
- * The decode buffer (doc ids and freqs back to back) is ONE heap
- * allocation sized at construction and never resized. Keeping it out
+ * The decode buffer (doc ids and freqs back to back) is caller-owned
+ * scratch of scratchSlots(list) slots, never resized. Keeping it out
  * of the object proper matters: the evaluators walk arrays of cursors
  * every round, and a cursor whose metadata fits in ~1.5 cache lines
  * sorts/bounds/seeks materially faster than one bloated by an inline
  * buffer (measured ~10% on the full bench).
  */
-/**
- * Per-query scratch-slab size (uint32 slots) the block-max evaluator
- * keeps on the stack: queries whose cursors' combined scratchSlots()
- * fit (boundary inclusive) decode into a stack array, anything larger
- * spills to one heap slab. Exported so the stack/heap boundary is a
- * single number tests can target exactly (tests/test_blockmax.cc pins
- * both sides of it).
- */
-constexpr std::size_t kEvaluatorStackSlabSlots = 2048;
-
 class BlockMaxCursor
 {
   public:
-    /** @param io Shared per-query I/O counters (may be nullptr). */
-    explicit BlockMaxCursor(const BlockMaxPostingList &list,
-                            BlockIo *io = nullptr);
+    /**
+     * doc() of an exhausted cursor: larger than every real document
+     * (local ids are dense from 0), so the evaluators' "smallest
+     * current doc" and "stands on the candidate" tests need no
+     * separate exhaustion check.
+     */
+    static constexpr LocalDocId kExhaustedDoc =
+        std::numeric_limits<LocalDocId>::max();
 
     /**
-     * Construct with caller-owned decode scratch instead of a private
-     * allocation. @p scratch must hold scratchSlots(list) uint32_ts and
-     * outlive the cursor (moves included). The evaluators use this to
-     * carve every cursor's buffer out of ONE per-query slab — per-list
-     * heap allocations were a measurable share of short-query latency.
+     * @param io Shared per-query I/O counters; must outlive the cursor.
+     * @param scratch Decode storage of scratchSlots(list) uint32_ts
+     *        that outlives the cursor (moves included). The evaluators
+     *        carve every cursor's scratch out of ONE per-query slab
+     *        (QueryCursors) — per-list heap allocations were a
+     *        measurable share of short-query latency.
      */
-    BlockMaxCursor(const BlockMaxPostingList &list, BlockIo *io,
+    BlockMaxCursor(const BlockMaxPostingList &list, BlockIo &io,
                    uint32_t *scratch);
 
     /** Scratch slots (doc ids + freqs halves) a cursor on @p list needs. */
     static std::size_t scratchSlots(const BlockMaxPostingList &list);
 
-    // docs_/freqs_ point into heap storage (the private buffer_ or a
-    // caller slab), which is stable across moves, so the defaulted
-    // moves stay valid; copies would need re-anchoring and nothing
-    // needs them, so they are disallowed.
+    // docs_/freqs_ point into the caller's scratch, which is stable
+    // across moves, so the defaulted moves stay valid; copies would
+    // need re-anchoring and nothing needs them, so they are disallowed.
     BlockMaxCursor(BlockMaxCursor &&other) noexcept = default;
     BlockMaxCursor &operator=(BlockMaxCursor &&other) noexcept = default;
     BlockMaxCursor(const BlockMaxCursor &) = delete;
@@ -221,10 +229,11 @@ class BlockMaxCursor
     }
 
     /**
-     * Current document id; decodes the current block if needed. The
-     * id is cached so the hot path (evaluators compare doc() inside
-     * sort comparators, many times per pivot round) is one branch and
-     * one member read — decode happens only right after a block move.
+     * Current document id (kExhaustedDoc once exhausted); decodes the
+     * current block if needed. The id is cached so the hot path
+     * (evaluators compare doc() inside sort comparators, many times
+     * per pivot round) is one branch and one member read — decode
+     * happens only right after a block move.
      */
     LocalDocId
     doc()
@@ -237,19 +246,10 @@ class BlockMaxCursor
         return curDoc_;
     }
 
-    /** Current posting; decodes doc ids and (lazily) freqs if needed. */
-    const Posting &
-    posting()
-    {
-        posting_ = {doc(), freq()};
-        return posting_;
-    }
-
     /**
      * Current term frequency; decodes the freq sequence lazily. The
-     * evaluators' scoring loops use this (with the doc id they already
-     * hold) instead of posting() — the posting_ member round-trip is
-     * measurable at hundreds of scored postings per query.
+     * evaluators' scoring loops pair it with the doc id they already
+     * hold.
      */
     uint32_t
     freq()
@@ -307,8 +307,7 @@ class BlockMaxCursor
                 break;
             }
         }
-        if (io_ != nullptr)
-            io_->docsSkipped += static_cast<uint64_t>(it - begin);
+        io_->docsSkipped += static_cast<uint64_t>(it - begin);
         pos_ = static_cast<std::size_t>(it - docs_);
         curDoc_ = *it;
         docValid_ = true;
@@ -395,18 +394,19 @@ class BlockMaxCursor
     void
     skipCurrentBlock()
     {
-        if (io_ != nullptr) {
-            io_->docsSkipped += curBlockCount_ - pos_;
-            if (decodedBlock_ != static_cast<std::ptrdiff_t>(blockIdx_))
-                ++io_->blocksSkipped;
-        }
+        io_->docsSkipped += curBlockCount_ - pos_;
+        if (decodedBlock_ != static_cast<std::ptrdiff_t>(blockIdx_))
+            ++io_->blocksSkipped;
         ++blockIdx_;
         pos_ = 0;
         docValid_ = false;
         refreshBlockMeta();
     }
 
-    /** Refresh the cached block metadata after a block move. */
+    /**
+     * Refresh the cached block metadata after a block move; past the
+     * last block, pin doc() to kExhaustedDoc.
+     */
     void
     refreshBlockMeta()
     {
@@ -415,11 +415,14 @@ class BlockMaxCursor
             curLastDoc_ = b.lastDoc;
             curBlockMax_ = b.maxScore;
             curBlockCount_ = b.count;
+        } else {
+            curDoc_ = kExhaustedDoc;
+            docValid_ = true;
         }
     }
 
     const BlockMaxPostingList *list_;
-    BlockIo *io_;
+    BlockIo *io_; // never null; a pointer so cursors stay movable
     std::size_t numBlocks_ = 0;
     std::size_t blockIdx_ = 0;
     std::size_t pos_ = 0;
@@ -432,18 +435,98 @@ class BlockMaxCursor
     LocalDocId curLastDoc_ = 0;
     uint32_t curBlockCount_ = 0;
     double curBlockMax_ = 0.0;
-    Posting posting_{};
 
-    // Decode storage, doc ids first then freqs; each half has
-    // streamVByteDecodeCapacity(blockSize) slots because group decodes
-    // store four lanes at a time. buffer_ owns it for standalone
-    // cursors and stays null when the caller provided scratch. Never
-    // value-initialized (for_overwrite): a block decode always writes
-    // a slot before any read, and cursors are built per query, so the
-    // memset would be pure hot-path waste.
-    std::unique_ptr<uint32_t[]> buffer_;
+    // Decode storage in the caller's scratch, doc ids first then
+    // freqs; each half has streamVByteDecodeCapacity(blockSize) slots
+    // because group decodes store four lanes at a time.
     uint32_t *docs_ = nullptr;
     uint32_t *freqs_ = nullptr;
+};
+
+/**
+ * Per-query scratch-slab size (uint32 slots) QueryCursors keeps on the
+ * stack: queries whose cursors' combined scratchSlots() fit (boundary
+ * inclusive) decode into a stack array, anything larger spills to one
+ * heap slab. Exported so the stack/heap boundary is a single number
+ * tests can target exactly (tests/test_blockmax.cc pins both sides of
+ * it).
+ */
+constexpr std::size_t kEvaluatorStackSlabSlots = 2048;
+
+/** One query term's cursor with the constants evaluators score and
+ *  prune it with. */
+struct TermCursor
+{
+    BlockMaxCursor cursor;
+
+    /** Global idf times the query weight. */
+    double idf;
+
+    /**
+     * Whole-list rank-safe bound: the list maximum times the weight,
+     * and 0 for a demoting (negative-weight) term — BM25 posting
+     * scores are non-negative, so maxScore × weight would be its
+     * *lower* bound.
+     */
+    double maxScore;
+
+    /** The weight clamped at 0: scales the unweighted block maxima. */
+    double boundScale;
+
+    /**
+     * Ordering key: the current doc, or kExhaustedDoc once the cursor
+     * is exhausted or stands at or past the slice end @p end (postings
+     * from there on belong to other workers' slices; the peek that
+     * learns this may decode one block — see DocRange).
+     */
+    LocalDocId
+    key(LocalDocId end)
+    {
+        const LocalDocId doc = cursor.doc();
+        return doc >= end ? BlockMaxCursor::kExhaustedDoc : doc;
+    }
+};
+
+/**
+ * The cursors of one query evaluation, the one way every evaluator
+ * opens them: one TermCursor per query term with a non-empty list on
+ * the shard, in query-term order (load-bearing: scoring sums a
+ * candidate's contributions in this order, which keeps scores
+ * bit-identical across evaluators), each positioned at the slice
+ * start without charging skips (BlockMaxCursor::positionAt).
+ *
+ * Every cursor carves its decode buffer out of ONE per-query slab: a
+ * stack array when the combined demand fits kEvaluatorStackSlabSlots,
+ * one heap allocation otherwise. Per-list heap allocations were a
+ * measurable share of short-query latency. The cursors point into the
+ * slab, so the object is neither copied nor moved.
+ */
+class QueryCursors
+{
+  public:
+    /**
+     * @param index The shard.
+     * @param terms Query terms with their weights.
+     * @param begin Slice start: cursors are positioned at the first
+     *        posting with doc >= begin.
+     * @param io Shared per-query I/O counters.
+     */
+    QueryCursors(const InvertedIndex &index,
+                 const std::vector<WeightedTerm> &terms, LocalDocId begin,
+                 BlockIo &io);
+
+    QueryCursors(const QueryCursors &) = delete;
+    QueryCursors &operator=(const QueryCursors &) = delete;
+
+    /** The opened cursors, in query-term order. */
+    std::vector<TermCursor> &cursors() { return cursors_; }
+
+  private:
+    // Never value-initialized: a block decode writes every slot it
+    // later reads (see BlockMaxCursor's decode storage).
+    uint32_t stackSlab_[kEvaluatorStackSlabSlots];
+    std::unique_ptr<uint32_t[]> heapSlab_;
+    std::vector<TermCursor> cursors_;
 };
 
 } // namespace cottage

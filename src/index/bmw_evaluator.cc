@@ -2,42 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "index/block_max.h"
 
 namespace cottage {
-
-namespace {
-
-struct TermCursor
-{
-    BlockMaxCursor cursor;
-    double idf;      // weight-scaled
-    double maxScore; // whole-list rank-safe bound (0 for demoting)
-    double boundScale; // weight clamped at 0 for block-bound scaling
-};
-
-/**
- * Sort key for the per-round cursor ordering: current doc, with
- * exhausted cursors at +infinity so one insertion pass both orders the
- * live cursors and floats the dead ones to the tail (where the round
- * loop retires them). Doc ids are 32-bit, so the 64-bit sentinel can
- * never collide with a real document. A cursor standing at or past the
- * slice end keys to +infinity too: its remaining postings belong to
- * other workers' slices (the boundary-block peek that learns this may
- * decode one block — deterministic, charged, see DocRange).
- */
-inline uint64_t
-cursorKey(TermCursor *tc, LocalDocId end)
-{
-    if (tc->cursor.exhausted())
-        return std::numeric_limits<uint64_t>::max();
-    const auto doc = static_cast<uint64_t>(tc->cursor.doc());
-    return doc >= end ? std::numeric_limits<uint64_t>::max() : doc;
-}
-
-} // namespace
 
 SearchResult
 BmwEvaluator::search(const InvertedIndex &index,
@@ -48,60 +16,12 @@ BmwEvaluator::search(const InvertedIndex &index,
     SearchResult result;
     TopKHeap heap(k);
     BlockIo io;
-
-    // Size pass: all cursors carve their decode buffers out of ONE
-    // per-query slab, so it must be fully allocated before the first
-    // cursor is built. The second blockMax() hash probe per term is
-    // far cheaper than the vector-of-picked-terms allocation it
-    // replaces on short queries.
-    std::size_t slabSlots = 0;
-    std::size_t live = 0;
-    for (const WeightedTerm &wt : terms) {
-        const BlockMaxPostingList *list = index.blockMax(wt.term);
-        if (list != nullptr && !list->empty()) {
-            slabSlots += BlockMaxCursor::scratchSlots(*list);
-            ++live;
-        }
-    }
-    if (live == 0 || k == 0) {
+    QueryCursors open(index, terms, range.begin, io);
+    std::vector<TermCursor> &cursors = open.cursors();
+    if (cursors.empty() || k == 0) {
         result.topK = heap.extractSorted();
         return result;
     }
-    // Typical queries (a handful of terms at block size <= 256) fit in
-    // a stack slab; the heap allocation was a measurable share of
-    // single-term latency, where wand pays no such setup cost.
-    uint32_t stackSlab[kEvaluatorStackSlabSlots];
-    std::unique_ptr<uint32_t[]> heapSlab;
-    uint32_t *slab = stackSlab;
-    if (slabSlots > kEvaluatorStackSlabSlots) {
-        heapSlab = std::make_unique_for_overwrite<uint32_t[]>(slabSlots);
-        slab = heapSlab.get();
-    }
-
-    // Original term order is load-bearing: deep scoring iterates this
-    // vector so every candidate's contributions sum in exactly the
-    // exhaustive evaluator's order — bit-identical scores, not merely
-    // equal ranks.
-    std::vector<TermCursor> cursors;
-    cursors.reserve(live);
-    std::size_t slabOffset = 0;
-    for (const WeightedTerm &wt : terms) {
-        const BlockMaxPostingList *list = index.blockMax(wt.term);
-        if (list == nullptr || list->empty())
-            continue;
-        // As in WAND: a demoting (negative-weight) list's rank-safe
-        // upper bound is 0; its block bounds clamp the same way.
-        const double bound =
-            wt.weight >= 0.0 ? index.maxScore(wt.term) * wt.weight : 0.0;
-        cursors.push_back(
-            {BlockMaxCursor(*list, &io, slab + slabOffset),
-             index.idf(wt.term) * wt.weight, bound,
-             std::max(wt.weight, 0.0)});
-        slabOffset += BlockMaxCursor::scratchSlots(*list);
-    }
-    if (range.begin > 0)
-        for (TermCursor &tc : cursors)
-            tc.cursor.positionAt(range.begin);
 
     constexpr LocalDocId endDoc = std::numeric_limits<LocalDocId>::max();
     const LocalDocId end = range.end;
@@ -166,20 +86,19 @@ BmwEvaluator::search(const InvertedIndex &index,
         // array holds one pointer per query term, and most rounds move
         // only the cursors the previous round touched, so this beats a
         // remove_if sweep plus a std::sort call per round. Exhausted
-        // cursors key to +inf and retire from the tail.
+        // cursors key to kExhaustedDoc and retire from the tail.
         for (std::size_t i = 1; i < order.size(); ++i) {
             TermCursor *moved = order[i];
-            const uint64_t key = cursorKey(moved, end);
+            const LocalDocId key = moved->key(end);
             std::size_t j = i;
-            while (j > 0 && cursorKey(order[j - 1], end) > key) {
+            while (j > 0 && order[j - 1]->key(end) > key) {
                 order[j] = order[j - 1];
                 --j;
             }
             order[j] = moved;
         }
         while (!order.empty() &&
-               cursorKey(order.back(), end) ==
-                   std::numeric_limits<uint64_t>::max()) {
+               order.back()->key(end) == BlockMaxCursor::kExhaustedDoc) {
             order.pop_back();
         }
         if (order.empty())
@@ -230,8 +149,7 @@ BmwEvaluator::search(const InvertedIndex &index,
                 }
                 double score = 0.0;
                 for (TermCursor &tc : cursors) {
-                    if (!tc.cursor.exhausted() &&
-                        tc.cursor.doc() == pivotDoc) {
+                    if (tc.cursor.doc() == pivotDoc) {
                         score += index.scorePosting(
                             tc.idf, Posting{pivotDoc, tc.cursor.freq()});
                         tc.cursor.advance();

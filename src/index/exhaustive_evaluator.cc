@@ -1,6 +1,8 @@
 #include "index/exhaustive_evaluator.h"
 
-#include <limits>
+#include <algorithm>
+
+#include "index/block_max.h"
 
 namespace cottage {
 
@@ -12,33 +14,18 @@ ExhaustiveEvaluator::search(const InvertedIndex &index,
 {
     SearchResult result;
     TopKHeap heap(k);
+    // Nothing is skipped; the block decodes are not reported.
+    BlockIo io;
+    QueryCursors open(index, terms, range.begin, io);
+    std::vector<TermCursor> &cursors = open.cursors();
 
-    struct Cursor
-    {
-        const PostingList *list;
-        double idf; // weight-scaled
-        std::size_t pos;
-    };
-    std::vector<Cursor> cursors;
-    cursors.reserve(terms.size());
-    for (const WeightedTerm &wt : terms) {
-        const PostingList *list = index.postings(wt.term);
-        if (list != nullptr && !list->empty())
-            cursors.push_back({list, index.idf(wt.term) * wt.weight,
-                               slicePosition(*list, range.begin)});
-    }
-
-    constexpr LocalDocId endDoc = std::numeric_limits<LocalDocId>::max();
     while (true) {
-        // Next candidate: the smallest current doc across cursors.
-        LocalDocId candidate = endDoc;
-        for (const Cursor &cursor : cursors) {
-            if (cursor.pos < cursor.list->size()) {
-                candidate = std::min(candidate,
-                                     cursor.list->postings[cursor.pos].doc);
-            }
-        }
-        if (candidate == endDoc || candidate >= range.end)
+        // Next candidate: the smallest current doc across cursors
+        // (exhausted ones stand on kExhaustedDoc, past any slice end).
+        LocalDocId candidate = BlockMaxCursor::kExhaustedDoc;
+        for (TermCursor &tc : cursors)
+            candidate = std::min(candidate, tc.cursor.doc());
+        if (candidate >= range.end)
             break;
         // Anytime cap: a scoreable candidate remains, so the heap is
         // the best-so-far of a strict prefix of the shard's candidates.
@@ -48,12 +35,11 @@ ExhaustiveEvaluator::search(const InvertedIndex &index,
         }
 
         double score = 0.0;
-        for (Cursor &cursor : cursors) {
-            if (cursor.pos < cursor.list->size() &&
-                cursor.list->postings[cursor.pos].doc == candidate) {
+        for (TermCursor &tc : cursors) {
+            if (tc.cursor.doc() == candidate) {
                 score += index.scorePosting(
-                    cursor.idf, cursor.list->postings[cursor.pos]);
-                ++cursor.pos;
+                    tc.idf, Posting{candidate, tc.cursor.freq()});
+                tc.cursor.advance();
                 ++result.work.postingsScored;
             }
         }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 
 #include "util/logging.h"
 
@@ -20,14 +21,12 @@ InvertedIndex::InvertedIndex(const Corpus &corpus,
     lengths_.reserve(docIds.size());
     globalIds_.reserve(docIds.size());
 
-    // First pass: count distinct terms to size the slot table.
+    // First pass: count each term's postings to size the slot table
+    // and the staging array.
     std::unordered_map<TermId, uint32_t> termCounts;
     for (DocId id : docIds)
         for (const TermFreq &tf : corpus.document(id).terms)
             ++termCounts[tf.term];
-
-    lists_.resize(termCounts.size());
-    maxScores_.assign(termCounts.size(), 0.0);
     termSlot_.reserve(termCounts.size() * 2);
 
     // Assign slots in ascending TermId order so the list layout never
@@ -40,46 +39,41 @@ InvertedIndex::InvertedIndex(const Corpus &corpus,
         terms.push_back(entry.first);
     std::sort(terms.begin(), terms.end(), std::less<TermId>());
 
-    uint32_t nextSlot = 0;
-    for (TermId term : terms) {
-        termSlot_.emplace(term, nextSlot);
-        lists_[nextSlot].term = term;
-        lists_[nextSlot].postings.reserve(termCounts.at(term));
-        ++nextSlot;
+    // Each slot's postings get one contiguous run of the staging array.
+    std::vector<std::size_t> offsets(terms.size() + 1, 0);
+    for (uint32_t slot = 0; slot < terms.size(); ++slot) {
+        termSlot_.emplace(terms[slot], slot);
+        offsets[slot + 1] = offsets[slot] + termCounts.at(terms[slot]);
     }
 
-    // Second pass: fill postings. Documents are visited in docIds
-    // order, so postings stay ascending by local doc index.
+    // Second pass: stage the flat postings. Documents are visited in
+    // docIds order, so each run stays ascending by local doc index.
+    // The staging array lives only in this constructor: the block
+    // lists below are the index's one copy of the postings.
+    std::vector<Posting> staged(offsets.back());
+    std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
     for (LocalDocId local = 0; local < docIds.size(); ++local) {
         const Document &doc = corpus.document(docIds[local]);
         lengths_.push_back(doc.length);
         globalIds_.push_back(doc.id);
-        for (const TermFreq &tf : doc.terms) {
-            PostingList &list = lists_[termSlot_.at(tf.term)];
-            list.postings.push_back({local, tf.freq});
-            ++totalPostings_;
-        }
+        for (const TermFreq &tf : doc.terms)
+            staged[fill[termSlot_.at(tf.term)]++] = {local, tf.freq};
     }
+    totalPostings_ = staged.size();
 
-    // One scoring pass per list builds the block-max skip layer; the
-    // whole-list bound the flat pruning evaluators use is the max over
-    // the block maxima, so both layers agree exactly.
-    blockLists_.reserve(lists_.size());
-    for (uint32_t slot = 0; slot < lists_.size(); ++slot) {
-        const double termIdf = idf(lists_[slot].term);
+    // One scoring pass per list fills its block maxima; the whole-list
+    // bound the pruning evaluators use is the max over them.
+    blockLists_.reserve(terms.size());
+    for (uint32_t slot = 0; slot < terms.size(); ++slot) {
+        const double termIdf = idf(terms[slot]);
         blockLists_.emplace_back(
-            lists_[slot], blockSize_, [&](const Posting &posting) {
+            terms[slot],
+            std::span<const Posting>(staged).subspan(
+                offsets[slot], offsets[slot + 1] - offsets[slot]),
+            blockSize_, [&](const Posting &posting) {
                 return scorePosting(termIdf, posting);
             });
-        maxScores_[slot] = blockLists_[slot].maxScore();
     }
-}
-
-const PostingList *
-InvertedIndex::postings(TermId term) const
-{
-    const auto it = termSlot_.find(term);
-    return it == termSlot_.end() ? nullptr : &lists_[it->second];
 }
 
 const BlockMaxPostingList *
@@ -99,8 +93,7 @@ InvertedIndex::Footprint
 InvertedIndex::footprint() const
 {
     Footprint fp;
-    for (const PostingList &list : lists_)
-        fp.rawPostingBytes += list.size() * sizeof(Posting);
+    fp.rawPostingBytes = totalPostings_ * sizeof(Posting);
     for (const BlockMaxPostingList &list : blockLists_) {
         fp.blockMetadataBytes += list.metadataBytes();
         fp.blockPayloadBytes += list.payloadBytes();
@@ -115,8 +108,8 @@ InvertedIndex::footprint() const
 double
 InvertedIndex::maxScore(TermId term) const
 {
-    const auto it = termSlot_.find(term);
-    return it == termSlot_.end() ? 0.0 : maxScores_[it->second];
+    const BlockMaxPostingList *list = blockMax(term);
+    return list == nullptr ? 0.0 : list->maxScore();
 }
 
 } // namespace cottage

@@ -1,8 +1,9 @@
 /**
  * @file
- * One shard's inverted index: posting lists, document metadata, and the
- * shard-local BM25 machinery (sharing global collection statistics so
- * scores merge exactly across shards).
+ * One shard's inverted index: StreamVByte block-max posting lists (the
+ * one postings format), document metadata, and the shard-local BM25
+ * machinery (sharing global collection statistics so scores merge
+ * exactly across shards).
  */
 
 #ifndef COTTAGE_INDEX_INVERTED_INDEX_H
@@ -40,15 +41,22 @@ class InvertedIndex
                   std::shared_ptr<const CollectionStats> stats,
                   Bm25Params params = {}, uint32_t blockSize = 128);
 
-    /** Posting list for a term, or nullptr when the shard lacks it. */
-    const PostingList *postings(TermId term) const;
-
     /**
-     * Block-max list for a term, or nullptr when the shard lacks it.
-     * Built at indexing time alongside the flat list; block maxima are
-     * unweighted (queries scale them by the term weight).
+     * Posting list for a term, or nullptr when the shard lacks it.
+     * Block maxima are unweighted (queries scale them by the term
+     * weight).
      */
     const BlockMaxPostingList *blockMax(TermId term) const;
+
+    /**
+     * Every posting list, ascending by term: index-time scans (term
+     * statistics, score histograms) walk these.
+     */
+    const std::vector<BlockMaxPostingList> &
+    blockLists() const
+    {
+        return blockLists_;
+    }
 
     /** Postings per block in the block-max layer. */
     uint32_t blockSize() const { return blockSize_; }
@@ -63,7 +71,7 @@ class InvertedIndex
     DocId globalDoc(LocalDocId local) const { return globalIds_[local]; }
 
     /** Number of distinct terms present on this shard. */
-    std::size_t numTerms() const { return lists_.size(); }
+    std::size_t numTerms() const { return blockLists_.size(); }
 
     /** The scorer (global statistics, shared across shards). */
     const Bm25 &scorer() const { return scorer_; }
@@ -73,21 +81,22 @@ class InvertedIndex
 
     /**
      * Exact per-shard upper bound of a term's BM25 contribution: the
-     * max over this shard's postings, computed at build time. Returns
-     * 0 for absent terms. This is what MaxScore/WAND prune with.
+     * max over this shard's postings, computed at build time (the
+     * list's maximum over its block maxima). Returns 0 for absent
+     * terms. This is what MaxScore/WAND prune with.
      */
     double maxScore(TermId term) const;
 
     /** Total number of postings on this shard. */
     uint64_t totalPostings() const { return totalPostings_; }
 
-    /** All posting lists (arbitrary order); used by index-time scans. */
-    const std::vector<PostingList> &allPostings() const { return lists_; }
-
     /** Index storage accounting (raw vs StreamVByte-compressed postings). */
     struct Footprint
     {
-        /** Flat in-memory posting bytes (8 per posting). */
+        /**
+         * Uncompressed posting bytes (8 per posting): what flat lists
+         * would take. The index stores none.
+         */
         std::size_t rawPostingBytes = 0;
 
         /**
@@ -133,9 +142,7 @@ class InvertedIndex
     std::vector<uint32_t> lengths_;
     std::vector<DocId> globalIds_;
     std::unordered_map<TermId, uint32_t> termSlot_;
-    std::vector<PostingList> lists_;
     std::vector<BlockMaxPostingList> blockLists_;
-    std::vector<double> maxScores_;
     uint32_t blockSize_ = 128;
     uint64_t totalPostings_ = 0;
 };

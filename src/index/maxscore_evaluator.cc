@@ -1,51 +1,11 @@
 #include "index/maxscore_evaluator.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
+#include "index/block_max.h"
+
 namespace cottage {
-
-namespace {
-
-struct Cursor
-{
-    const PostingList *list;
-    double idf;
-    double maxScore;
-    std::size_t pos;
-    LocalDocId end; // slice end (exclusive); max = whole shard
-
-    /** Past the last posting of the slice; postings beyond `end`
-     *  belong to other workers and are never touched or charged. */
-    bool
-    exhausted() const
-    {
-        return pos >= list->size() || list->postings[pos].doc >= end;
-    }
-
-    LocalDocId
-    doc() const
-    {
-        return list->postings[pos].doc;
-    }
-};
-
-/** Advance a cursor to the first posting with doc >= target. */
-uint64_t
-seek(Cursor &cursor, LocalDocId target)
-{
-    const auto &postings = cursor.list->postings;
-    const auto begin = postings.begin() + static_cast<std::ptrdiff_t>(cursor.pos);
-    const auto it = std::lower_bound(
-        begin, postings.end(), target,
-        [](const Posting &p, LocalDocId d) { return p.doc < d; });
-    const auto skipped = static_cast<uint64_t>(it - begin);
-    cursor.pos += skipped;
-    return skipped;
-}
-
-} // namespace
 
 SearchResult
 MaxScoreEvaluator::search(const InvertedIndex &index,
@@ -55,26 +15,9 @@ MaxScoreEvaluator::search(const InvertedIndex &index,
 {
     SearchResult result;
     TopKHeap heap(k);
-
-    std::vector<Cursor> cursors;
-    cursors.reserve(terms.size());
-    for (const WeightedTerm &wt : terms) {
-        const PostingList *list = index.postings(wt.term);
-        if (list != nullptr && !list->empty()) {
-            // BM25 is linear in idf, so both the per-posting score and
-            // the exact pruning bound scale by the term weight — for
-            // positive weights. A negative weight flips the list's
-            // largest contribution to its *smallest*; the rank-safe
-            // upper bound of a demoting list is 0 (BM25 posting scores
-            // are non-negative).
-            const double bound =
-                wt.weight >= 0.0 ? index.maxScore(wt.term) * wt.weight
-                                 : 0.0;
-            cursors.push_back({list, index.idf(wt.term) * wt.weight,
-                               bound, slicePosition(*list, range.begin),
-                               range.end});
-        }
-    }
+    BlockIo io;
+    QueryCursors open(index, terms, range.begin, io);
+    std::vector<TermCursor> &cursors = open.cursors();
     if (cursors.empty() || k == 0) {
         result.topK = heap.extractSorted();
         return result;
@@ -118,15 +61,14 @@ MaxScoreEvaluator::search(const InvertedIndex &index,
     std::vector<std::size_t> touched;
     touched.reserve(cursors.size());
 
-    constexpr LocalDocId endDoc = std::numeric_limits<LocalDocId>::max();
     while (essential < order.size()) {
-        // Candidate: smallest current doc among essential cursors.
-        LocalDocId candidate = endDoc;
-        for (std::size_t i = essential; i < order.size(); ++i) {
-            if (!cursors[order[i]].exhausted())
-                candidate = std::min(candidate, cursors[order[i]].doc());
-        }
-        if (candidate == endDoc)
+        // Candidate: smallest current doc among essential cursors. It
+        // lies inside the slice, so below, a cursor standing on it is
+        // inside the slice too (and not exhausted).
+        LocalDocId candidate = BlockMaxCursor::kExhaustedDoc;
+        for (std::size_t i = essential; i < order.size(); ++i)
+            candidate = std::min(candidate, cursors[order[i]].cursor.doc());
+        if (candidate >= range.end)
             break;
         // Anytime cap: stop before evaluating a fresh candidate.
         if (result.work.docsScored >= maxScoredDocs) {
@@ -139,11 +81,11 @@ MaxScoreEvaluator::search(const InvertedIndex &index,
         touched.clear();
         double walkScore = 0.0;
         for (std::size_t i = essential; i < order.size(); ++i) {
-            Cursor &cursor = cursors[order[i]];
-            if (!cursor.exhausted() && cursor.doc() == candidate) {
+            TermCursor &tc = cursors[order[i]];
+            if (tc.cursor.doc() == candidate) {
                 const double value = index.scorePosting(
-                    cursor.idf, cursor.list->postings[cursor.pos]);
-                ++cursor.pos;
+                    tc.idf, Posting{candidate, tc.cursor.freq()});
+                tc.cursor.advance();
                 contrib[order[i]] = value;
                 touched.push_back(order[i]);
                 walkScore += value;
@@ -161,16 +103,12 @@ MaxScoreEvaluator::search(const InvertedIndex &index,
                 complete = false;
                 break;
             }
-            Cursor &cursor = cursors[order[i]];
-            const uint64_t skipped = seek(cursor, candidate);
-            result.work.postingsSkipped += skipped;
-            // Uniform schema with the block-max evaluators: skipped
-            // candidates are reported per-doc too.
-            result.work.docsSkipped += skipped;
-            if (!cursor.exhausted() && cursor.doc() == candidate) {
+            TermCursor &tc = cursors[order[i]];
+            tc.cursor.seek(candidate);
+            if (tc.cursor.doc() == candidate) {
                 const double value = index.scorePosting(
-                    cursor.idf, cursor.list->postings[cursor.pos]);
-                ++cursor.pos;
+                    tc.idf, Posting{candidate, tc.cursor.freq()});
+                tc.cursor.advance();
                 contrib[order[i]] = value;
                 touched.push_back(order[i]);
                 walkScore += value;
@@ -194,6 +132,10 @@ MaxScoreEvaluator::search(const InvertedIndex &index,
         }
     }
 
+    // The seeks' skips, one per posting passed over; block decodes and
+    // skips stay bmw's pruning counters (DESIGN.md §5e).
+    result.work.postingsSkipped = io.docsSkipped;
+    result.work.docsSkipped = io.docsSkipped;
     result.topK = heap.extractSorted();
     return result;
 }

@@ -1,21 +1,19 @@
 /**
  * @file
- * Posting-list representation of one shard's inverted index.
+ * The posting: one (document, frequency) occurrence of a term.
  *
  * Postings carry shard-local document indices (dense, 0-based within
  * the shard) so evaluators can index the shard's length table directly;
  * the shard maps local indices back to global DocIds when emitting
- * results.
+ * results. The index stores them only StreamVByte-compressed
+ * (block_max.h); a flat Posting sequence exists only while a list is
+ * built and when a list is decoded whole for an index-time scan.
  */
 
 #ifndef COTTAGE_INDEX_POSTINGS_H
 #define COTTAGE_INDEX_POSTINGS_H
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
-
-#include "text/types.h"
 
 namespace cottage {
 
@@ -28,33 +26,6 @@ struct Posting
     LocalDocId doc;
     uint32_t freq;
 };
-
-/** All occurrences of one term inside one shard, ascending by doc. */
-struct PostingList
-{
-    TermId term = invalidTerm;
-    std::vector<Posting> postings;
-
-    std::size_t size() const { return postings.size(); }
-    bool empty() const { return postings.empty(); }
-};
-
-/**
- * Index of the first posting with doc >= target. Used by evaluators to
- * position a cursor at the start of a document slice; deliberately
- * charges no skip counters (the skipped prefix belongs to other
- * workers' slices — see DocRange in evaluator.h).
- */
-inline std::size_t
-slicePosition(const PostingList &list, LocalDocId target)
-{
-    if (target == 0)
-        return 0;
-    const auto it = std::lower_bound(
-        list.postings.begin(), list.postings.end(), target,
-        [](const Posting &p, LocalDocId d) { return p.doc < d; });
-    return static_cast<std::size_t>(it - list.postings.begin());
-}
 
 } // namespace cottage
 

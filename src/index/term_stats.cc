@@ -34,16 +34,18 @@ TermStatsStore::TermStatsStore(const InvertedIndex &index, std::size_t k)
     COTTAGE_CHECK_MSG(k >= 1, "term stats need k >= 1");
     stats_.reserve(index.numTerms() * 2);
 
-    std::vector<double> scores; // DocId-ordered, reused across terms
+    std::vector<Posting> postings; // decoded list, reused across terms
+    std::vector<double> scores;    // DocId-ordered, reused across terms
     std::vector<double> sorted;
-    for (const PostingList &list : index.allPostings()) {
-        const double termIdf = index.idf(list.term);
+    for (const BlockMaxPostingList &list : index.blockLists()) {
+        const double termIdf = index.idf(list.term());
+        list.decode(postings);
 
         scores.clear();
-        scores.reserve(list.size());
+        scores.reserve(postings.size());
         TopKHeap heap(k);
         uint64_t insertions = 0;
-        for (const Posting &posting : list.postings) {
+        for (const Posting &posting : postings) {
             const double s = index.scorePosting(termIdf, posting);
             scores.push_back(s);
             if (heap.push({index.globalDoc(posting.doc), s}))
@@ -99,7 +101,7 @@ TermStatsStore::TermStatsStore(const InvertedIndex &index, std::size_t k)
         ts.docsNearMax = static_cast<double>(nearMax);
         ts.docsNearKth = static_cast<double>(nearKth);
 
-        stats_.emplace(list.term, ts);
+        stats_.emplace(list.term(), ts);
     }
 }
 

@@ -2,48 +2,9 @@
 
 #include <algorithm>
 
+#include "index/block_max.h"
+
 namespace cottage {
-
-namespace {
-
-struct Cursor
-{
-    const PostingList *list;
-    double idf;
-    double maxScore;
-    std::size_t pos;
-    LocalDocId end; // slice end (exclusive); max = whole shard
-
-    /** Past the last posting of the slice; postings beyond `end`
-     *  belong to other workers and are never touched or charged. */
-    bool
-    exhausted() const
-    {
-        return pos >= list->size() || list->postings[pos].doc >= end;
-    }
-
-    LocalDocId
-    doc() const
-    {
-        return list->postings[pos].doc;
-    }
-};
-
-uint64_t
-seek(Cursor &cursor, LocalDocId target)
-{
-    const auto &postings = cursor.list->postings;
-    const auto begin =
-        postings.begin() + static_cast<std::ptrdiff_t>(cursor.pos);
-    const auto it = std::lower_bound(
-        begin, postings.end(), target,
-        [](const Posting &p, LocalDocId d) { return p.doc < d; });
-    const auto skipped = static_cast<uint64_t>(it - begin);
-    cursor.pos += skipped;
-    return skipped;
-}
-
-} // namespace
 
 SearchResult
 WandEvaluator::search(const InvertedIndex &index,
@@ -53,52 +14,53 @@ WandEvaluator::search(const InvertedIndex &index,
 {
     SearchResult result;
     TopKHeap heap(k);
-
-    std::vector<Cursor> cursors;
-    cursors.reserve(terms.size());
-    for (const WeightedTerm &wt : terms) {
-        const PostingList *list = index.postings(wt.term);
-        if (list != nullptr && !list->empty()) {
-            // A demoting (negative-weight) list's rank-safe upper
-            // bound is 0, not maxScore * weight (which would be its
-            // lower bound); BM25 posting scores are non-negative.
-            const double bound =
-                wt.weight >= 0.0 ? index.maxScore(wt.term) * wt.weight
-                                 : 0.0;
-            cursors.push_back({list, index.idf(wt.term) * wt.weight,
-                               bound, slicePosition(*list, range.begin),
-                               range.end});
-        }
-    }
+    BlockIo io;
+    QueryCursors open(index, terms, range.begin, io);
+    std::vector<TermCursor> &cursors = open.cursors();
     if (cursors.empty() || k == 0) {
         result.topK = heap.extractSorted();
         return result;
     }
 
     // Live cursor pointers, kept sorted by current doc each round.
-    std::vector<Cursor *> order;
+    std::vector<TermCursor *> order;
     order.reserve(cursors.size());
-    for (Cursor &cursor : cursors)
+    for (TermCursor &cursor : cursors)
         order.push_back(&cursor);
 
+    const LocalDocId end = range.end;
     while (true) {
-        order.erase(std::remove_if(order.begin(), order.end(),
-                                   [](Cursor *c) { return c->exhausted(); }),
-                    order.end());
-        if (order.empty())
-            break;
+        // Order by (current doc, construction order) with an insertion
+        // pass: the array holds one pointer per query term, and a
+        // round moves only the cursors the previous round touched.
         // Ties (several cursors parked on the same doc) break by
         // construction order — &cursors[i] ascends with i — so the
         // sequence, and with it the pivot doc's floating-point
         // summation order, is a pure function of the cursor state:
         // cursors on the pivot sit contiguously in original term
-        // order, never in a sort-implementation-dependent shuffle.
-        // That keeps scores bit-identical across DocRange slices.
-        std::sort(order.begin(), order.end(), [](Cursor *a, Cursor *b) {
-            if (a->doc() != b->doc())
-                return a->doc() < b->doc();
-            return a < b;
-        });
+        // order. That keeps scores bit-identical across DocRange
+        // slices. Cursors exhausted or past the slice end key to
+        // kExhaustedDoc and retire from the tail; postings beyond
+        // `end` belong to other workers and are never touched or
+        // charged.
+        for (std::size_t i = 1; i < order.size(); ++i) {
+            TermCursor *moved = order[i];
+            const LocalDocId key = moved->key(end);
+            std::size_t j = i;
+            for (; j > 0; --j) {
+                const LocalDocId before = order[j - 1]->key(end);
+                if (before < key || (before == key && order[j - 1] < moved))
+                    break;
+                order[j] = order[j - 1];
+            }
+            order[j] = moved;
+        }
+        while (!order.empty() &&
+               order.back()->key(end) == BlockMaxCursor::kExhaustedDoc) {
+            order.pop_back();
+        }
+        if (order.empty())
+            break;
 
         // Pivot: first cursor where the cumulative bound could reach
         // the heap. >= keeps ties evaluable (rank-safe with DocId
@@ -118,8 +80,8 @@ WandEvaluator::search(const InvertedIndex &index,
         if (pivot == order.size())
             break; // nothing remaining can enter the top-K
 
-        const LocalDocId pivotDoc = order[pivot]->doc();
-        if (order[0]->doc() == pivotDoc) {
+        const LocalDocId pivotDoc = order[pivot]->cursor.doc();
+        if (order[0]->cursor.doc() == pivotDoc) {
             // Anytime cap: the next step would score a fresh candidate.
             if (result.work.docsScored >= maxScoredDocs) {
                 result.work.truncated = true;
@@ -127,12 +89,12 @@ WandEvaluator::search(const InvertedIndex &index,
             }
             // All cursors up to the pivot sit on pivotDoc: score it.
             double score = 0.0;
-            for (Cursor *cursor : order) {
-                if (cursor->exhausted() || cursor->doc() != pivotDoc)
+            for (TermCursor *tc : order) {
+                if (tc->cursor.doc() != pivotDoc)
                     continue;
                 score += index.scorePosting(
-                    cursor->idf, cursor->list->postings[cursor->pos]);
-                ++cursor->pos;
+                    tc->idf, Posting{pivotDoc, tc->cursor.freq()});
+                tc->cursor.advance();
                 ++result.work.postingsScored;
             }
             ++result.work.docsScored;
@@ -141,22 +103,21 @@ WandEvaluator::search(const InvertedIndex &index,
         } else {
             // Advance the strongest cursor before the pivot; fewer
             // future seeks than advancing the weakest.
-            Cursor *advance = order[0];
+            TermCursor *advance = order[0];
             for (std::size_t i = 1; i < pivot; ++i) {
-                if (order[i]->doc() < pivotDoc &&
+                if (order[i]->cursor.doc() < pivotDoc &&
                     order[i]->maxScore > advance->maxScore) {
                     advance = order[i];
                 }
             }
-            const uint64_t skipped = seek(*advance, pivotDoc);
-            result.work.postingsSkipped += skipped;
-            // Uniform schema with the block-max evaluators: skipped
-            // candidates are reported per-doc too (one posting per doc
-            // in a flat list).
-            result.work.docsSkipped += skipped;
+            advance->cursor.seek(pivotDoc);
         }
     }
 
+    // The seeks' skips, one per posting passed over; block decodes and
+    // skips stay bmw's pruning counters (DESIGN.md §5e).
+    result.work.postingsSkipped = io.docsSkipped;
+    result.work.docsSkipped = io.docsSkipped;
     result.topK = heap.extractSorted();
     return result;
 }

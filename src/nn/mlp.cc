@@ -61,6 +61,20 @@ adamUpdate(const AdamConfig &adam, double correction1, double correction2,
 } // namespace
 
 MlpClassifier::MlpClassifier(const MlpConfig &config)
+    : MlpClassifier(config, ShapeOnly{})
+{
+    // He-normal initialization suits ReLU layers.
+    Rng rng(config.seed);
+    for (Layer &layer : layers_) {
+        const std::size_t fanIn = layer.weights.rows();
+        const double scale = std::sqrt(2.0 / static_cast<double>(fanIn));
+        for (std::size_t i = 0; i < fanIn; ++i)
+            for (std::size_t j = 0; j < layer.weights.cols(); ++j)
+                layer.weights(i, j) = rng.normal(0.0, scale);
+    }
+}
+
+MlpClassifier::MlpClassifier(const MlpConfig &config, ShapeOnly)
     : config_(config)
 {
     COTTAGE_CHECK_MSG(config.inputDim >= 1, "MLP needs input features");
@@ -78,23 +92,10 @@ MlpClassifier::MlpClassifier(const MlpConfig &config)
     widths.push_back(config.numClasses);
     maxWidth_ = *std::max_element(widths.begin(), widths.end());
 
-    Rng rng(config.seed);
     layers_.resize(widths.size() - 1);
     for (std::size_t l = 0; l < layers_.size(); ++l) {
-        const std::size_t fanIn = widths[l];
-        const std::size_t fanOut = widths[l + 1];
-        Layer &layer = layers_[l];
-        layer.weights = Matrix(fanIn, fanOut);
-        layer.bias.assign(fanOut, 0.0);
-        // He-normal initialization suits ReLU layers.
-        const double scale = std::sqrt(2.0 / static_cast<double>(fanIn));
-        for (std::size_t i = 0; i < fanIn; ++i)
-            for (std::size_t j = 0; j < fanOut; ++j)
-                layer.weights(i, j) = rng.normal(0.0, scale);
-        layer.mWeights = Matrix(fanIn, fanOut);
-        layer.vWeights = Matrix(fanIn, fanOut);
-        layer.mBias.assign(fanOut, 0.0);
-        layer.vBias.assign(fanOut, 0.0);
+        layers_[l].weights = Matrix(widths[l], widths[l + 1]);
+        layers_[l].bias.assign(widths[l + 1], 0.0);
     }
 }
 
@@ -172,6 +173,19 @@ MlpClassifier::train(const Dataset &data, std::size_t iterations,
     const std::size_t batchSize = std::min(adam.batchSize, data.size());
     std::vector<uint32_t> batchLabels(batchSize);
     double lastLoss = 0.0;
+
+    // The Adam moments are training state, shaped by the first train()
+    // (zero, as Adam starts); a net that is only loaded never has any.
+    for (Layer &layer : layers_) {
+        if (layer.mWeights.size() != layer.weights.size()) {
+            const std::size_t rows = layer.weights.rows();
+            const std::size_t cols = layer.weights.cols();
+            layer.mWeights = Matrix(rows, cols);
+            layer.vWeights = Matrix(rows, cols);
+            layer.mBias.assign(layer.bias.size(), 0.0);
+            layer.vBias.assign(layer.bias.size(), 0.0);
+        }
+    }
 
     // Every buffer an iteration touches, shaped once: activations[0]
     // is the normalized minibatch, activations[l + 1] layer l's
@@ -424,7 +438,9 @@ MlpClassifier::load(std::istream &in)
     for (std::size_t &h : config.hiddenLayers)
         h = reader.integer("hidden layer width", 1, kMaxLoadWidth);
 
-    MlpClassifier model(config);
+    // Shape only: every weight is read below, so none is drawn, and a
+    // loaded net carries no Adam moments.
+    MlpClassifier model(config, ShapeOnly{});
     for (double &m : model.featureMean_)
         m = reader.finite("feature mean");
     for (double &s : model.featureStd_) {

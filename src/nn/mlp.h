@@ -73,6 +73,7 @@ struct MlpScratch
 class MlpClassifier
 {
   public:
+    /** A fresh net: He-normal weights drawn from config.seed. */
     explicit MlpClassifier(const MlpConfig &config);
 
     const MlpConfig &config() const { return config_; }
@@ -145,12 +146,20 @@ class MlpClassifier
     std::size_t numParameters() const;
 
   private:
+    /** Constructor tag: shape the layers, draw no weights (load()). */
+    struct ShapeOnly
+    {
+    };
+
+    /** Zero weights and biases, identity normalization, no moments. */
+    MlpClassifier(const MlpConfig &config, ShapeOnly);
+
     struct Layer
     {
         Matrix weights; // in x out
         std::vector<double> bias;
 
-        // Adam state.
+        // Adam state: empty until the first train().
         Matrix mWeights;
         Matrix vWeights;
         std::vector<double> mBias;

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/checked_reader.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/zipf.h"
@@ -138,20 +139,26 @@ QueryTrace::load(std::istream &in)
 {
     QueryTrace trace;
     std::string line;
-    QueryId id = 0;
+    uint64_t lineNumber = 0;
     while (std::getline(in, line)) {
+        ++lineNumber;
         line = trim(line);
         if (line.empty() || line[0] == '#')
             continue;
-        const std::vector<std::string> fields = splitWhitespace(line);
-        if (fields.size() < 2)
-            fatal("trace line needs 'arrival term...': " + line);
+        std::istringstream fields(line);
+        CheckedReader reader(fields, "cottage query trace, line " +
+                                         std::to_string(lineNumber));
         Query query;
-        query.id = id++;
-        query.arrivalSeconds = std::stod(fields[0]);
-        for (std::size_t i = 1; i < fields.size(); ++i)
-            query.terms.push_back(
-                static_cast<TermId>(std::stoul(fields[i])));
+        query.id = trace.queries_.size();
+        query.arrivalSeconds = reader.finite("arrival");
+        if (query.arrivalSeconds < 0.0)
+            reader.fail("arrival: expected a non-negative time, got " +
+                        std::to_string(query.arrivalSeconds));
+        // At least one term; invalidTerm is the sentinel, not an id.
+        do {
+            query.terms.push_back(static_cast<TermId>(
+                reader.integer("term", 0, invalidTerm - 1)));
+        } while (!reader.atEnd());
         trace.queries_.push_back(std::move(query));
     }
     return trace;

@@ -82,7 +82,12 @@ class QueryTrace
     /** Generate a trace of the given flavor. */
     static QueryTrace generate(const TraceConfig &config);
 
-    /** Parse a trace from its serialized form. Fatal on bad input. */
+    /**
+     * Parse a trace from its serialized form. Malformed input (a bad
+     * token, a NaN/Inf or negative arrival, a term id outside
+     * TermId's range, a line without terms) exits 2 with a
+     * diagnostic naming the line (CheckedReader).
+     */
     static QueryTrace load(std::istream &in);
 
     /** Serialize: one line per query, "arrival term term ...". */

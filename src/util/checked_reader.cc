@@ -52,6 +52,12 @@ CheckedReader::integer(const std::string &field, uint64_t lo, uint64_t hi)
     return value;
 }
 
+bool
+CheckedReader::atEnd()
+{
+    return (in_ >> std::ws).peek() == std::char_traits<char>::eof();
+}
+
 void
 CheckedReader::fail(const std::string &message) const
 {

@@ -1,11 +1,11 @@
 /**
  * @file
- * Token reader for the files the library loads (predictor models and
- * their manifests). Every read either yields a well-formed value or
- * exits with status 2 and a diagnostic naming the file kind and the
- * field, the same code as a command-line usage error: a malformed
- * input is the operator's mistake, not a bug, so it must neither abort
- * nor load silently as zeros.
+ * Token reader for the files the library loads (predictor models,
+ * their manifests and query traces). Every read either yields a
+ * well-formed value or exits with status 2 and a diagnostic naming
+ * the file kind and the field, the same code as a command-line usage
+ * error: a malformed input is the operator's mistake, not a bug, so
+ * it must neither abort nor load silently as zeros.
  */
 
 #ifndef COTTAGE_UTIL_CHECKED_READER_H
@@ -37,6 +37,9 @@ class CheckedReader
 
     /** Next token as a decimal integer in [lo, hi]; exits 2 otherwise. */
     uint64_t integer(const std::string &field, uint64_t lo, uint64_t hi);
+
+    /** True when only whitespace remains. */
+    bool atEnd();
 
     /** Report malformed input and exit with status 2. */
     [[noreturn]] void fail(const std::string &message) const;

@@ -152,7 +152,12 @@ jsonEscape(std::string_view text)
 std::string
 jsonQuote(std::string_view text)
 {
-    return "\"" + jsonEscape(text) + "\"";
+    // Appended rather than concatenated: GCC 12's -Wrestrict misfires
+    // on `"\"" + std::string + "\""` at -O2.
+    std::string out(1, '"');
+    out.append(jsonEscape(text));
+    out.push_back('"');
+    return out;
 }
 
 std::string

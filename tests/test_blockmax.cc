@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,6 +41,35 @@ wholeCorpusIndex(const Corpus &corpus, uint32_t blockSize)
     return std::make_unique<InvertedIndex>(
         corpus, allDocs, std::make_shared<CollectionStats>(corpus),
         Bm25Params{}, blockSize);
+}
+
+/** A whole list, decoded. */
+std::vector<Posting>
+decoded(const BlockMaxPostingList &list)
+{
+    std::vector<Posting> postings;
+    list.decode(postings);
+    return postings;
+}
+
+/** Decode scratch for one cursor on @p list. */
+std::vector<uint32_t>
+scratchFor(const BlockMaxPostingList &list)
+{
+    return std::vector<uint32_t>(BlockMaxCursor::scratchSlots(list));
+}
+
+/** The longest list of a shard (first by term on ties). */
+const BlockMaxPostingList &
+longestList(const InvertedIndex &index)
+{
+    const BlockMaxPostingList *longest = nullptr;
+    for (const BlockMaxPostingList &list : index.blockLists()) {
+        if (longest == nullptr || list.size() > longest->size())
+            longest = &list;
+    }
+    COTTAGE_CHECK(longest != nullptr);
+    return *longest;
 }
 
 /** Bitwise score equality: rank-safety here means identical doubles. */
@@ -82,79 +112,104 @@ class BlockMaxFixture : public ::testing::Test
 
 TEST_F(BlockMaxFixture, BlocksPartitionEveryList)
 {
-    for (const PostingList &list : index_->allPostings()) {
-        const BlockMaxPostingList *bm = index_->blockMax(list.term);
-        ASSERT_NE(bm, nullptr);
-        EXPECT_EQ(bm->term(), list.term);
-        EXPECT_EQ(bm->size(), list.size());
-        ASSERT_GT(bm->numBlocks(), 0u);
+    for (const BlockMaxPostingList &list : index_->blockLists()) {
+        EXPECT_EQ(index_->blockMax(list.term()), &list);
+        ASSERT_GT(list.numBlocks(), 0u);
+        const std::vector<Posting> postings = decoded(list);
+        ASSERT_EQ(postings.size(), list.size());
 
-        const double idf = index_->idf(list.term);
+        const double idf = index_->idf(list.term());
         uint64_t covered = 0;
-        for (std::size_t b = 0; b < bm->numBlocks(); ++b) {
-            const auto &block = bm->block(b);
+        for (std::size_t b = 0; b < list.numBlocks(); ++b) {
+            const auto &block = list.block(b);
             // Exact per-block bound: the max over exactly the block's
             // postings, and lastDoc is the block's final document.
             double expectedMax = 0.0;
             for (uint32_t i = 0; i < block.count; ++i) {
-                const Posting &posting = list.postings[covered + i];
                 expectedMax = std::max(
-                    expectedMax, index_->scorePosting(idf, posting));
+                    expectedMax,
+                    index_->scorePosting(idf, postings[covered + i]));
             }
             EXPECT_DOUBLE_EQ(block.maxScore, expectedMax)
-                << "term " << list.term << " block " << b;
+                << "term " << list.term() << " block " << b;
             EXPECT_EQ(block.lastDoc,
-                      list.postings[covered + block.count - 1].doc);
-            if (b + 1 < bm->numBlocks()) {
-                EXPECT_EQ(block.count, bm->blockSize());
+                      postings[covered + block.count - 1].doc);
+            if (b + 1 < list.numBlocks()) {
+                EXPECT_EQ(block.count, list.blockSize());
             }
             covered += block.count;
         }
         EXPECT_EQ(covered, list.size());
-        EXPECT_DOUBLE_EQ(bm->maxScore(), index_->maxScore(list.term));
+        EXPECT_DOUBLE_EQ(list.maxScore(), index_->maxScore(list.term()));
     }
 }
 
-TEST_F(BlockMaxFixture, DecodeBlockRoundTripsAtAnyBlockSize)
+/**
+ * The block lists are the index's only postings, so they must decode
+ * to exactly the (doc, freq) postings the corpus implies: for every
+ * term of every shard, ascending by shard-local doc, at the
+ * production block sizes {64, 128, 256} and at degenerate ones (the
+ * gap chain restarts per block, so every block decodes standalone).
+ */
+TEST_F(BlockMaxFixture, DecodedListsReproduceCorpusPostings)
 {
-    // The gap chain restarts per block, so every block must decode
-    // standalone to exactly the flat postings it covers.
-    for (uint32_t blockSize : {1u, 3u, 7u, 128u, 100000u}) {
-        const auto index = wholeCorpusIndex(*corpus_, blockSize);
-        for (const PostingList &list : index->allPostings()) {
-            const BlockMaxPostingList *bm = index->blockMax(list.term);
-            std::vector<Posting> decoded;
-            std::size_t at = 0;
-            for (std::size_t b = 0; b < bm->numBlocks(); ++b) {
-                bm->decodeBlock(b, decoded);
-                ASSERT_EQ(decoded.size(), bm->block(b).count);
-                for (const Posting &posting : decoded) {
-                    ASSERT_EQ(posting.doc, list.postings[at].doc)
-                        << "term " << list.term << " posting " << at;
-                    ASSERT_EQ(posting.freq, list.postings[at].freq);
-                    ++at;
+    constexpr uint32_t numShards = 4;
+    const auto stats = std::make_shared<CollectionStats>(*corpus_);
+    for (uint32_t blockSize : {1u, 3u, 64u, 128u, 256u, 100000u}) {
+        for (uint32_t shard = 0; shard < numShards; ++shard) {
+            std::vector<DocId> docIds;
+            for (DocId d = shard; d < corpus_->numDocs(); d += numShards)
+                docIds.push_back(d);
+            const InvertedIndex index(*corpus_, docIds, stats, Bm25Params{},
+                                      blockSize);
+
+            std::map<TermId, std::vector<Posting>> expected;
+            uint64_t total = 0;
+            for (LocalDocId local = 0; local < docIds.size(); ++local) {
+                for (const TermFreq &tf :
+                     corpus_->document(docIds[local]).terms) {
+                    expected[tf.term].push_back({local, tf.freq});
+                    ++total;
                 }
             }
-            ASSERT_EQ(at, list.size());
+            ASSERT_EQ(index.numTerms(), expected.size());
+            EXPECT_EQ(index.totalPostings(), total);
+            // blockLists() ascends by term, like the ordered map.
+            auto want = expected.begin();
+            for (const BlockMaxPostingList &list : index.blockLists()) {
+                ASSERT_EQ(list.term(), want->first);
+                const std::vector<Posting> got = decoded(list);
+                ASSERT_EQ(got.size(), want->second.size())
+                    << "term " << list.term() << " shard " << shard;
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    ASSERT_EQ(got[i].doc, want->second[i].doc)
+                        << "term " << list.term() << " posting " << i
+                        << " shard " << shard << " block size "
+                        << blockSize;
+                    ASSERT_EQ(got[i].freq, want->second[i].freq)
+                        << "term " << list.term() << " posting " << i;
+                }
+                ++want;
+            }
         }
     }
 }
 
-TEST_F(BlockMaxFixture, CursorWalkMatchesFlatList)
+TEST_F(BlockMaxFixture, CursorWalkMatchesDecodedList)
 {
-    for (const PostingList &list : index_->allPostings()) {
+    for (const BlockMaxPostingList &list : index_->blockLists()) {
         BlockIo io;
-        BlockMaxCursor cursor(*index_->blockMax(list.term), &io);
-        for (const Posting &expected : list.postings) {
+        std::vector<uint32_t> scratch = scratchFor(list);
+        BlockMaxCursor cursor(list, io, scratch.data());
+        for (const Posting &expected : decoded(list)) {
             ASSERT_FALSE(cursor.exhausted());
             EXPECT_EQ(cursor.doc(), expected.doc);
-            EXPECT_EQ(cursor.posting().freq, expected.freq);
+            EXPECT_EQ(cursor.freq(), expected.freq);
             cursor.advance();
         }
         EXPECT_TRUE(cursor.exhausted());
         // A full walk decodes every block and skips nothing.
-        EXPECT_EQ(io.blocksDecoded,
-                  index_->blockMax(list.term)->numBlocks());
+        EXPECT_EQ(io.blocksDecoded, list.numBlocks());
         EXPECT_EQ(io.blocksSkipped, 0u);
         EXPECT_EQ(io.docsSkipped, 0u);
     }
@@ -163,27 +218,23 @@ TEST_F(BlockMaxFixture, CursorWalkMatchesFlatList)
 TEST_F(BlockMaxFixture, SeekLandsOnLowerBoundAndCountsSkips)
 {
     // Pick a reasonably long list so seeks cross block boundaries.
-    const PostingList *longest = nullptr;
-    for (const PostingList &list : index_->allPostings()) {
-        if (longest == nullptr || list.size() > longest->size())
-            longest = &list;
-    }
-    ASSERT_NE(longest, nullptr);
-    ASSERT_GT(longest->size(), 128u);
-    const BlockMaxPostingList *bm = index_->blockMax(longest->term);
+    const BlockMaxPostingList &bm = longestList(*index_);
+    ASSERT_GT(bm.size(), 128u);
+    const std::vector<Posting> postings = decoded(bm);
+    std::vector<uint32_t> scratch = scratchFor(bm);
 
     Rng rng(31337);
     for (int round = 0; round < 200; ++round) {
         const LocalDocId target = static_cast<LocalDocId>(
             rng.uniformInt(0, static_cast<int64_t>(index_->numDocs())));
         BlockIo io;
-        BlockMaxCursor cursor(*bm, &io);
+        BlockMaxCursor cursor(bm, io, scratch.data());
         cursor.seek(target);
 
         const auto it = std::lower_bound(
-            longest->postings.begin(), longest->postings.end(), target,
+            postings.begin(), postings.end(), target,
             [](const Posting &p, LocalDocId d) { return p.doc < d; });
-        if (it == longest->postings.end()) {
+        if (it == postings.end()) {
             EXPECT_TRUE(cursor.exhausted()) << "target " << target;
         } else {
             ASSERT_FALSE(cursor.exhausted()) << "target " << target;
@@ -192,23 +243,19 @@ TEST_F(BlockMaxFixture, SeekLandsOnLowerBoundAndCountsSkips)
         // Everything before the landing point was skipped, and the
         // cursor decoded at most one block to get there.
         EXPECT_EQ(io.docsSkipped,
-                  static_cast<uint64_t>(it - longest->postings.begin()));
+                  static_cast<uint64_t>(it - postings.begin()));
         EXPECT_LE(io.blocksDecoded, 1u);
     }
 }
 
 TEST_F(BlockMaxFixture, ShallowSeekNeverDecodes)
 {
-    const PostingList *longest = nullptr;
-    for (const PostingList &list : index_->allPostings()) {
-        if (longest == nullptr || list.size() > longest->size())
-            longest = &list;
-    }
-    const BlockMaxPostingList *bm = index_->blockMax(longest->term);
+    const BlockMaxPostingList *bm = &longestList(*index_);
     ASSERT_GT(bm->numBlocks(), 2u);
 
     BlockIo io;
-    BlockMaxCursor cursor(*bm, &io);
+    std::vector<uint32_t> scratch = scratchFor(*bm);
+    BlockMaxCursor cursor(*bm, io, scratch.data());
     const LocalDocId target = bm->block(1).lastDoc;
     cursor.shallowSeek(target);
     EXPECT_EQ(io.blocksDecoded, 0u);
@@ -257,8 +304,8 @@ TEST(BlockMaxProperty, BmwIsBitIdenticalToExhaustive)
         // All-stopword query: the highest-df terms produce long lists
         // with tiny idf and massive tie plateaus.
         std::vector<std::pair<std::size_t, TermId>> byDf;
-        for (const PostingList &list : index->allPostings())
-            byDf.push_back({list.size(), list.term});
+        for (const BlockMaxPostingList &list : index->blockLists())
+            byDf.push_back({list.size(), list.term()});
         std::sort(byDf.begin(), byDf.end(),
                   [](const auto &a, const auto &b) {
                       if (a.first != b.first)
@@ -355,7 +402,7 @@ TEST_F(BlockMaxFixture, WorkCountersReplayByteIdenticalPerBlockSize)
 }
 
 /**
- * The evaluators' scratch-slab stack/heap boundary, pinned on both
+ * QueryCursors' scratch-slab stack/heap boundary, pinned on both
  * sides: a query whose cursors' combined scratch demand lands EXACTLY
  * on kEvaluatorStackSlabSlots must take the stack path (the boundary
  * is inclusive — `slabSlots > kEvaluatorStackSlabSlots` spills), and
@@ -387,8 +434,8 @@ TEST(BlockMaxSlab, StackHeapBoundaryIsExactAndRankSafe)
     // The highest-df terms: long multi-block lists, so every cursor
     // really decodes through its scratch half.
     std::vector<std::pair<std::size_t, TermId>> byDf;
-    for (const PostingList &list : index->allPostings())
-        byDf.push_back({list.size(), list.term});
+    for (const BlockMaxPostingList &list : index->blockLists())
+        byDf.push_back({list.size(), list.term()});
     std::sort(byDf.begin(), byDf.end(), [](const auto &a, const auto &b) {
         if (a.first != b.first)
             return a.first > b.first;
@@ -409,6 +456,8 @@ TEST(BlockMaxSlab, StackHeapBoundaryIsExactAndRankSafe)
     ASSERT_EQ(demand, kEvaluatorStackSlabSlots);
 
     const ExhaustiveEvaluator exhaustive;
+    const MaxScoreEvaluator maxscore;
+    const WandEvaluator wand;
     const BmwEvaluator bmw;
     for (const std::vector<TermId> &query : {exactFit, oneOver}) {
         const auto weighted = toWeighted(query);
@@ -416,8 +465,15 @@ TEST(BlockMaxSlab, StackHeapBoundaryIsExactAndRankSafe)
             const SearchResult base =
                 exhaustive.search(*index, weighted, k);
             ASSERT_FALSE(base.topK.empty());
-            expectBitIdentical(bmw.search(*index, weighted, k), base,
-                               "bmw", static_cast<QueryId>(query.size()));
+            // Every evaluator opens its cursors through QueryCursors.
+            for (const Evaluator *other :
+                 {static_cast<const Evaluator *>(&maxscore),
+                  static_cast<const Evaluator *>(&wand),
+                  static_cast<const Evaluator *>(&bmw)}) {
+                expectBitIdentical(other->search(*index, weighted, k), base,
+                                   other->name(),
+                                   static_cast<QueryId>(query.size()));
+            }
         }
     }
 }
@@ -447,7 +503,8 @@ TEST_F(BlockMaxFixture, BlockPruningBeatsFlatPruning)
     EXPECT_GT(bmwWork.blocksSkipped, 0u);
     EXPECT_GT(bmwWork.blocksDecoded, 0u);
     EXPECT_GT(bmwWork.docsSkipped, 0u);
-    // Flat evaluators now surface their seek savings uniformly.
+    // The whole-list evaluators report their seek savings, but no
+    // block counters: those stay bmw's (DESIGN.md §5e).
     EXPECT_GT(wandWork.docsSkipped, 0u);
     EXPECT_GT(maxscoreWork.docsSkipped, 0u);
     EXPECT_EQ(wandWork.blocksDecoded, 0u);

@@ -145,45 +145,15 @@ TEST_F(IndexFixture, CollectionStatsMatchCorpus)
     EXPECT_EQ(stats_->docFreq(999999), 0u);
 }
 
-TEST_F(IndexFixture, PostingsAreSortedAndComplete)
-{
-    uint64_t totalPostings = 0;
-    for (const PostingList &list : index_->allPostings()) {
-        EXPECT_FALSE(list.empty());
-        for (std::size_t i = 1; i < list.size(); ++i)
-            EXPECT_LT(list.postings[i - 1].doc, list.postings[i].doc);
-        totalPostings += list.size();
-    }
-    EXPECT_EQ(totalPostings, index_->totalPostings());
-
-    uint64_t expected = 0;
-    for (const Document &doc : corpus_->documents())
-        expected += doc.terms.size();
-    EXPECT_EQ(totalPostings, expected);
-}
-
-TEST_F(IndexFixture, PostingFrequenciesMatchDocuments)
-{
-    const PostingList *list = index_->postings(0);
-    ASSERT_NE(list, nullptr);
-    for (const Posting &posting : list->postings) {
-        const Document &doc =
-            corpus_->document(index_->globalDoc(posting.doc));
-        const auto it = std::find_if(
-            doc.terms.begin(), doc.terms.end(),
-            [](const TermFreq &tf) { return tf.term == 0; });
-        ASSERT_NE(it, doc.terms.end());
-        EXPECT_EQ(it->freq, posting.freq);
-    }
-}
-
 TEST_F(IndexFixture, MaxScoreBoundIsTightAndExact)
 {
-    const PostingList *list = index_->postings(0);
+    const BlockMaxPostingList *list = index_->blockMax(0);
     ASSERT_NE(list, nullptr);
     const double idf = index_->idf(0);
     double best = 0.0;
-    for (const Posting &posting : list->postings)
+    std::vector<Posting> postings;
+    list->decode(postings);
+    for (const Posting &posting : postings)
         best = std::max(best, index_->scorePosting(idf, posting));
     EXPECT_DOUBLE_EQ(index_->maxScore(0), best);
     // The static bound dominates the exact bound.
@@ -622,7 +592,8 @@ TEST_F(IndexFixture, NegativeWeightsStayRankSafe)
 TEST_F(IndexFixture, CompressionShrinksTheIndex)
 {
     const InvertedIndex::Footprint fp = index_->footprint();
-    EXPECT_GT(fp.rawPostingBytes, 0u);
+    EXPECT_EQ(fp.rawPostingBytes,
+              index_->totalPostings() * sizeof(Posting));
     EXPECT_GT(fp.compressedPostingBytes, 0u);
     // The StreamVByte block payload should at least halve 8-byte flat
     // postings.
@@ -632,8 +603,8 @@ TEST_F(IndexFixture, CompressionShrinksTheIndex)
     // per-block metadata.
     EXPECT_GE(fp.blockMaxBytes, fp.compressedPostingBytes);
     std::size_t expectedBlockMax = 0;
-    for (const PostingList &list : index_->allPostings())
-        expectedBlockMax += index_->blockMax(list.term)->bytes();
+    for (const BlockMaxPostingList &list : index_->blockLists())
+        expectedBlockMax += list.bytes();
     EXPECT_EQ(fp.blockMaxBytes, expectedBlockMax);
 }
 
@@ -691,8 +662,8 @@ TEST_F(IndexFixture, TermStatsBasicInvariants)
     const TermStats *ts = store.get(0);
     ASSERT_NE(ts, nullptr);
 
-    const PostingList *list = index_->postings(0);
-    EXPECT_DOUBLE_EQ(ts->postingLength, static_cast<double>(list->size()));
+    EXPECT_DOUBLE_EQ(ts->postingLength,
+                     static_cast<double>(index_->blockMax(0)->size()));
     EXPECT_DOUBLE_EQ(ts->maxScore, index_->maxScore(0));
     EXPECT_DOUBLE_EQ(ts->idf, index_->idf(0));
 
@@ -727,11 +698,13 @@ TEST_F(IndexFixture, TermStatsBasicInvariants)
 TEST_F(IndexFixture, TermStatsKthScoreMatchesSortedScores)
 {
     const TermStatsStore store(*index_, 10);
-    const PostingList *list = index_->postings(2);
+    const BlockMaxPostingList *list = index_->blockMax(2);
     ASSERT_NE(list, nullptr);
     const double idf = index_->idf(2);
+    std::vector<Posting> postings;
+    list->decode(postings);
     std::vector<double> scores;
-    for (const Posting &posting : list->postings)
+    for (const Posting &posting : postings)
         scores.push_back(index_->scorePosting(idf, posting));
     std::sort(scores.begin(), scores.end(), std::greater<double>());
     const TermStats *ts = store.get(2);

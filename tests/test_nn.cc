@@ -304,6 +304,34 @@ TEST(Mlp, SaveLoadRoundTripPreservesOutputs)
     }
 }
 
+/**
+ * load() shapes a net without drawing weights or allocating Adam
+ * moments; train() shapes the moments. An untrained net saved and
+ * loaded back must therefore train to the very bytes the original
+ * does (same weights, zero moments, same default seed).
+ */
+TEST(Mlp, LoadedNetTrainsLikeTheNetItWasSavedFrom)
+{
+    const Dataset train = blobDataset(3, 60, 11);
+    MlpConfig config;
+    config.inputDim = 2;
+    config.numClasses = 3;
+    config.hiddenLayers = {8, 8};
+    MlpClassifier fresh(config);
+
+    std::stringstream buffer;
+    fresh.save(buffer);
+    MlpClassifier loaded = MlpClassifier::load(buffer);
+
+    fresh.train(train, 40);
+    loaded.train(train, 40);
+    std::ostringstream a;
+    std::ostringstream b;
+    fresh.save(a);
+    loaded.save(b);
+    EXPECT_EQ(a.str(), b.str());
+}
+
 TEST(Mlp, NumParametersMatchesArchitecture)
 {
     MlpConfig config;

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -23,8 +24,13 @@
 #include "engine/distributed_engine.h"
 #include "engine/parallel_search.h"
 #include "harness/experiment.h"
+#include "index/collection_stats.h"
+#include "index/inverted_index.h"
 #include "metrics/run_stats.h"
 #include "predict/training.h"
+#include "text/corpus.h"
+#include "text/trace.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace cottage {
@@ -374,6 +380,95 @@ TEST(ParallelSearchProperty, MergedTopKIsBitIdenticalToSequentialAtAnyWidth)
         }
     }
     ThreadPool::setGlobalThreads(1);
+}
+
+/**
+ * The whole-list evaluators read block lists, but their work must not
+ * depend on how the lists are blocked: exhaustive, maxscore and wand
+ * report the counters they reported over flat arrays (DESIGN.md §5e),
+ * so their SearchWork and top-K are identical at block sizes 64, 128
+ * and 256 — on whole shards and on every gang slice, capped or not.
+ * This is what keeps every simulated number unchanged; a block counter
+ * leaking into their work, or a seek charging skips per block, fails
+ * it.
+ */
+TEST(ParallelSearchProperty, WholeListWorkIsIndependentOfBlockSize)
+{
+    Rng rng(0x5EEDB10Cu);
+    for (int round = 0; round < 3; ++round) {
+        CorpusConfig corpusConfig;
+        corpusConfig.numDocs =
+            600 + static_cast<uint32_t>(rng.uniformInt(0, 1400));
+        corpusConfig.vocabSize =
+            1000 + static_cast<uint32_t>(rng.uniformInt(0, 3000));
+        corpusConfig.meanDocLength = 40.0 + 80.0 * rng.uniform();
+        corpusConfig.seed = rng.next();
+        const Corpus corpus = Corpus::generate(corpusConfig);
+        const auto stats = std::make_shared<CollectionStats>(corpus);
+        std::vector<DocId> allDocs(corpus.numDocs());
+        for (DocId d = 0; d < corpus.numDocs(); ++d)
+            allDocs[d] = d;
+        std::vector<std::unique_ptr<InvertedIndex>> indexes;
+        for (const uint32_t blockSize : {64u, 128u, 256u})
+            indexes.push_back(std::make_unique<InvertedIndex>(
+                corpus, allDocs, stats, Bm25Params{}, blockSize));
+        const uint32_t numDocs = corpus.numDocs();
+
+        TraceConfig traceConfig;
+        traceConfig.numQueries = 40;
+        traceConfig.vocabSize = corpusConfig.vocabSize;
+        traceConfig.seed = rng.next();
+        const QueryTrace trace = QueryTrace::generate(traceConfig);
+
+        for (const char *name : {"exhaustive", "maxscore", "wand"}) {
+            const std::unique_ptr<Evaluator> evaluator =
+                Experiment::makeEvaluator(name);
+            for (std::size_t q = 0; q < trace.size(); ++q) {
+                std::vector<WeightedTerm> terms =
+                    toWeighted(trace.query(q).terms);
+                if (q % 2 == 1)
+                    terms.front().weight = -0.5;
+                for (const uint32_t cores : {1u, 2u, 4u}) {
+                    for (uint32_t slice = 0; slice < cores; ++slice) {
+                        for (const uint64_t cap : {noDocCap, uint64_t{7}}) {
+                            const DocRange range =
+                                sliceRange(numDocs, cores, slice);
+                            const uint64_t sliceCap =
+                                sliceDocCap(cap, cores, slice);
+                            const SearchResult base = evaluator->search(
+                                *indexes[0], terms, 10, sliceCap, range);
+                            EXPECT_EQ(base.work.blocksDecoded, 0u);
+                            EXPECT_EQ(base.work.blocksSkipped, 0u);
+                            EXPECT_EQ(base.work.postingsSkipped,
+                                      base.work.docsSkipped);
+                            for (std::size_t b = 1; b < indexes.size();
+                                 ++b) {
+                                const SearchResult other =
+                                    evaluator->search(*indexes[b], terms,
+                                                      10, sliceCap, range);
+                                ASSERT_TRUE(other.work == base.work)
+                                    << name << " query " << q << " cores "
+                                    << cores << " slice " << slice
+                                    << " cap " << cap << " block size "
+                                    << indexes[b]->blockSize();
+                                ASSERT_EQ(other.topK.size(),
+                                          base.topK.size());
+                                for (std::size_t i = 0;
+                                     i < base.topK.size(); ++i) {
+                                    ASSERT_EQ(other.topK[i].doc,
+                                              base.topK[i].doc);
+                                    const double x = other.topK[i].score;
+                                    const double y = base.topK[i].score;
+                                    ASSERT_EQ(
+                                        std::memcmp(&x, &y, sizeof x), 0);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /**

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 #include <sstream>
 #include <unordered_map>
 
@@ -244,6 +246,128 @@ TEST(Trace, SaveLoadRoundTrip)
                     trace.query(i).arrivalSeconds, 1e-6);
         EXPECT_EQ(loaded.query(i).terms, trace.query(i).terms);
     }
+}
+
+/** A small generated trace in its saved form. */
+std::string
+savedTrace(uint64_t numQueries)
+{
+    TraceConfig config;
+    config.numQueries = numQueries;
+    config.vocabSize = 500;
+    std::stringstream buffer;
+    QueryTrace::generate(config).save(buffer);
+    return buffer.str();
+}
+
+QueryTrace
+loadText(const std::string &text)
+{
+    std::istringstream in(text);
+    return QueryTrace::load(in);
+}
+
+TEST(Trace, SaveLoadSaveIsByteIdentical)
+{
+    const std::string text = savedTrace(50);
+    const QueryTrace loaded = loadText(text);
+    ASSERT_EQ(loaded.size(), 50u);
+    std::stringstream again;
+    loaded.save(again);
+    // Only the header names the flavor; every query line is identical.
+    EXPECT_EQ(again.str().substr(again.str().find('\n')),
+              text.substr(text.find('\n')));
+}
+
+/**
+ * A trace cut at any byte either loads as a prefix of the whole (a
+ * number cut short still parses) or exits 2 with a diagnostic: never
+ * an uncaught exception, an abort, or a query that is not the saved
+ * one.
+ */
+TEST(TraceLoadDeathTest, TruncationAtEveryByteLoadsAPrefixOrExitsTwo)
+{
+    const std::string text = savedTrace(4);
+    const QueryTrace whole = loadText(text);
+    const auto exitedZeroOrTwo = [](int status) {
+        return WIFEXITED(status) &&
+               (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 2);
+    };
+    for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+        EXPECT_EXIT(
+            {
+                const QueryTrace part = loadText(text.substr(0, cut));
+                bool prefix = part.size() <= whole.size();
+                for (std::size_t i = 0; prefix && i + 1 < part.size();
+                     ++i) {
+                    prefix = part.query(i).terms == whole.query(i).terms &&
+                             part.query(i).arrivalSeconds ==
+                                 whole.query(i).arrivalSeconds;
+                }
+                std::exit(prefix ? 0 : 3);
+            },
+            exitedZeroOrTwo, "")
+            << "cut at byte " << cut;
+        // Cut at a line end, the load is exactly the lines before the
+        // cut: the newlines before a cut at a newline count the header
+        // plus every query line but the one ending at the cut.
+        if (cut < text.size() && text[cut] == '\n') {
+            const QueryTrace part = loadText(text.substr(0, cut));
+            const auto lines = static_cast<std::size_t>(
+                std::count(text.begin(), text.begin() + cut, '\n'));
+            ASSERT_EQ(part.size(), lines) << "cut at byte " << cut;
+            for (std::size_t i = 0; i < part.size(); ++i)
+                EXPECT_EQ(part.query(i).terms, whole.query(i).terms);
+        }
+    }
+}
+
+/** Any single flipped bit of a saved trace loads or exits 2. */
+TEST(TraceLoadDeathTest, EverySingleBitFlipLoadsOrExitsTwo)
+{
+    const std::string text = savedTrace(3);
+    const auto exitedZeroOrTwo = [](int status) {
+        return WIFEXITED(status) &&
+               (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 2);
+    };
+    for (std::size_t byte = 0; byte < text.size(); ++byte) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string flipped = text;
+            flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+            EXPECT_EXIT(
+                {
+                    loadText(flipped);
+                    std::exit(0);
+                },
+                exitedZeroOrTwo, "")
+                << "byte " << byte << " bit " << bit;
+        }
+    }
+}
+
+TEST(TraceLoadDeathTest, MalformedLinesExitTwoNamingTheLine)
+{
+    const auto exitsTwo = [](const std::string &text,
+                             const std::string &message) {
+        EXPECT_EXIT(loadText(text), ::testing::ExitedWithCode(2), message)
+            << text;
+    };
+    exitsTwo("0.5 12x\n", "line 1: term: expected an integer");
+    exitsTwo("# header\nabc 3\n", "line 2: arrival: expected a number");
+    exitsTwo("0.5 3 -4\n", "term: expected an integer");
+    exitsTwo("nan 3\n", "arrival: expected a finite number");
+    exitsTwo("inf 3\n", "arrival: expected a finite number");
+    exitsTwo("1e999 3\n", "arrival: expected a finite number");
+    exitsTwo("-0.5 3\n", "arrival: expected a non-negative time");
+    exitsTwo("0.5\n", "term: input ends early");
+    // Term ids above TermId's range are rejected, never truncated;
+    // the all-ones id is the invalidTerm sentinel, not a term.
+    exitsTwo("0.5 4294967296\n", "term: expected an integer");
+    exitsTwo("0.5 4294967295\n", "term: expected an integer");
+    exitsTwo("0.5 99999999999999999999999\n", "term: expected an integer");
+    // The largest real id still loads.
+    EXPECT_EQ(loadText("0.5 4294967294\n").query(0).terms,
+              std::vector<TermId>{4294967294u});
 }
 
 TEST(Trace, AppendAssignsSequentialIds)

@@ -1,6 +1,7 @@
 #include "symbol_index.h"
 
 #include <algorithm>
+#include <string_view>
 
 namespace cottage::lint {
 
@@ -580,7 +581,10 @@ class FileScanner
                 // `name(...)` or `name{...}`; the body '{' follows a
                 // ')' or '}'.
                 ++j;
-                std::string prev;
+                // A view: assigning literals to a std::string here trips
+                // GCC 12's -Wrestrict false positive. Token text
+                // outlives the loop.
+                std::string_view prev;
                 while (j < end) {
                     const std::string &u = toks_[j].text;
                     if (u == "(") {
