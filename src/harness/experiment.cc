@@ -118,29 +118,34 @@ ExperimentConfig::fromFlags(const CliFlags &flags)
     const auto millis = [&flags](const char *name, double seconds) {
         return flags.getDouble(name, seconds * 1e3) * 1e-3;
     };
+    // Operator-facing validation: a typo'd count, width or name should
+    // print a usage hint and exit 2, not dump core via an assertion,
+    // and a negative count must not wrap through the cast.
     config.corpus.numDocs = static_cast<uint32_t>(
-        flags.getInt("docs", config.corpus.numDocs));
+        getIntAtLeast(flags, "docs", config.corpus.numDocs, 1));
+    // QueryTrace::generate needs more terms than its 24 stopword ranks
+    // plus 4 (Corpus::generate needs only 2).
     config.corpus.vocabSize = static_cast<uint32_t>(
-        flags.getInt("vocab", config.corpus.vocabSize));
+        getIntAtLeast(flags, "vocab", config.corpus.vocabSize, 29));
     config.corpus.seed =
         static_cast<uint64_t>(flags.getInt("seed", config.corpus.seed));
-    // Operator-facing validation: a typo'd count, width or name should
-    // print a usage hint and exit 2, not dump core via an assertion.
     config.shards.numShards = static_cast<ShardId>(
         getIntAtLeast(flags, "shards", config.shards.numShards, 1));
     config.shards.topK = static_cast<std::size_t>(getIntAtLeast(
         flags, "k", static_cast<int64_t>(config.shards.topK), 1));
-    config.traceQueries = static_cast<uint64_t>(
-        flags.getInt("queries", config.traceQueries));
+    config.traceQueries = static_cast<uint64_t>(getIntAtLeast(
+        flags, "queries", static_cast<int64_t>(config.traceQueries), 1));
     config.arrivalQps = getPositiveDouble(flags, "qps", config.arrivalQps);
     config.traceSeed = static_cast<uint64_t>(
         flags.getInt("trace-seed", config.traceSeed));
     config.trainQueries = static_cast<uint64_t>(
-        flags.getInt("train-queries", config.trainQueries));
+        getIntAtLeast(flags, "train-queries",
+                      static_cast<int64_t>(config.trainQueries), 1));
     config.trainSeed = static_cast<uint64_t>(
         flags.getInt("train-seed", config.trainSeed));
     config.train.iterations = static_cast<std::size_t>(
-        flags.getInt("iterations", config.train.iterations));
+        getIntAtLeast(flags, "iterations",
+                      static_cast<int64_t>(config.train.iterations), 0));
     config.cottage.budgetSlack =
         flags.getDouble("budget-slack", config.cottage.budgetSlack);
     config.cottage.participationThreshold = flags.getDouble(
@@ -155,7 +160,7 @@ ExperimentConfig::fromFlags(const CliFlags &flags)
         "busy-watts", config.power.busyWattsAtReference);
     config.sloSeconds = millis("slo-ms", config.sloSeconds);
     config.coresPerIsn = static_cast<uint32_t>(
-        flags.getInt("cores-per-isn", config.coresPerIsn));
+        getIntAtLeast(flags, "cores-per-isn", config.coresPerIsn, 1));
     config.isnCores = static_cast<uint32_t>(
         getIntAtLeast(flags, "isn-cores", config.isnCores, 1));
     config.cottage.maxCoresPerQuery = config.isnCores;

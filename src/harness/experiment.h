@@ -91,8 +91,9 @@ struct ExperimentConfig
      * Sublinear intra-query speedup curve S(k) installed on every ISN,
      * covering the uncounted parallel overhead (merge, dispatch,
      * imbalance); the counted overhead is in the work counters
-     * themselves. Calibrate serialFraction from
-     * BENCH_parallelism.json's fitted alpha.
+     * themselves. serialFraction = 0.08 is the paper-scale
+     * assumption until ROADMAP item 4 fits it from a timed gang sweep
+     * (BENCH_parallelism.json is untimed and fits nothing).
      */
     SpeedupCurve speedup;
 

@@ -1,7 +1,5 @@
 #include "index/inverted_index.h"
 
-#include <algorithm>
-#include <functional>
 #include <span>
 
 #include "util/logging.h"
@@ -21,29 +19,25 @@ InvertedIndex::InvertedIndex(const Corpus &corpus,
     lengths_.reserve(docIds.size());
     globalIds_.reserve(docIds.size());
 
-    // First pass: count each term's postings to size the slot table
-    // and the staging array.
-    std::unordered_map<TermId, uint32_t> termCounts;
+    // First pass: count each term's postings, dense over the
+    // vocabulary. One ascending scan then turns each count into a
+    // slot, so slots follow TermId order and each slot's postings get
+    // one contiguous run of the staging array.
+    termSlot_.assign(corpus.vocabulary().size(), 0);
     for (DocId id : docIds)
         for (const TermFreq &tf : corpus.document(id).terms)
-            ++termCounts[tf.term];
-    termSlot_.reserve(termCounts.size() * 2);
-
-    // Assign slots in ascending TermId order so the list layout never
-    // depends on the standard library's hash ordering. The collection
-    // loop itself may read the hash map in whatever order it likes:
+            ++termSlot_[tf.term];
     std::vector<TermId> terms;
-    terms.reserve(termCounts.size());
-    // cottage-lint: allow(D1): order-independent key harvest, sorted below
-    for (const auto &entry : termCounts)
-        terms.push_back(entry.first);
-    std::sort(terms.begin(), terms.end(), std::less<TermId>());
-
-    // Each slot's postings get one contiguous run of the staging array.
-    std::vector<std::size_t> offsets(terms.size() + 1, 0);
-    for (uint32_t slot = 0; slot < terms.size(); ++slot) {
-        termSlot_.emplace(terms[slot], slot);
-        offsets[slot + 1] = offsets[slot] + termCounts.at(terms[slot]);
+    std::vector<std::size_t> offsets{0};
+    for (TermId term = 0; term < termSlot_.size(); ++term) {
+        const uint32_t count = termSlot_[term];
+        if (count == 0) {
+            termSlot_[term] = kNoSlot;
+            continue;
+        }
+        termSlot_[term] = static_cast<uint32_t>(terms.size());
+        terms.push_back(term);
+        offsets.push_back(offsets.back() + count);
     }
 
     // Second pass: stage the flat postings. Documents are visited in
@@ -57,7 +51,7 @@ InvertedIndex::InvertedIndex(const Corpus &corpus,
         lengths_.push_back(doc.length);
         globalIds_.push_back(doc.id);
         for (const TermFreq &tf : doc.terms)
-            staged[fill[termSlot_.at(tf.term)]++] = {local, tf.freq};
+            staged[fill[termSlot_[tf.term]]++] = {local, tf.freq};
     }
     totalPostings_ = staged.size();
 
@@ -79,8 +73,8 @@ InvertedIndex::InvertedIndex(const Corpus &corpus,
 const BlockMaxPostingList *
 InvertedIndex::blockMax(TermId term) const
 {
-    const auto it = termSlot_.find(term);
-    return it == termSlot_.end() ? nullptr : &blockLists_[it->second];
+    const uint32_t s = slot(term);
+    return s == kNoSlot ? nullptr : &blockLists_[s];
 }
 
 double

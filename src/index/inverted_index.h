@@ -9,8 +9,8 @@
 #ifndef COTTAGE_INDEX_INVERTED_INDEX_H
 #define COTTAGE_INDEX_INVERTED_INDEX_H
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "index/block_max.h"
@@ -40,6 +40,20 @@ class InvertedIndex
     InvertedIndex(const Corpus &corpus, const std::vector<DocId> &docIds,
                   std::shared_ptr<const CollectionStats> stats,
                   Bm25Params params = {}, uint32_t blockSize = 128);
+
+    /** slot() of a term the shard lacks. */
+    static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+    /**
+     * A term's position in blockLists() and in every per-shard table
+     * kept in that order (TermStatsStore), or kNoSlot when the shard
+     * lacks it. Ids past the vocabulary are absent too.
+     */
+    uint32_t
+    slot(TermId term) const
+    {
+        return term < termSlot_.size() ? termSlot_[term] : kNoSlot;
+    }
 
     /**
      * Posting list for a term, or nullptr when the shard lacks it.
@@ -141,7 +155,7 @@ class InvertedIndex
     Bm25 scorer_;
     std::vector<uint32_t> lengths_;
     std::vector<DocId> globalIds_;
-    std::unordered_map<TermId, uint32_t> termSlot_;
+    std::vector<uint32_t> termSlot_; // dense over the vocabulary
     std::vector<BlockMaxPostingList> blockLists_;
     uint32_t blockSize_ = 128;
     uint64_t totalPostings_ = 0;

@@ -11,28 +11,11 @@
 
 namespace cottage {
 
-namespace {
-
-/** Largest k-th value of a score vector (smallest value when short). */
-double
-kthLargest(std::vector<double> scores, std::size_t k)
-{
-    COTTAGE_CHECK(!scores.empty());
-    if (scores.size() <= k)
-        return *std::min_element(scores.begin(), scores.end());
-    std::nth_element(scores.begin(),
-                     scores.begin() + static_cast<std::ptrdiff_t>(k - 1),
-                     scores.end(), std::greater<double>());
-    return scores[k - 1];
-}
-
-} // namespace
-
 TermStatsStore::TermStatsStore(const InvertedIndex &index, std::size_t k)
-    : k_(k)
+    : index_(&index), k_(k)
 {
     COTTAGE_CHECK_MSG(k >= 1, "term stats need k >= 1");
-    stats_.reserve(index.numTerms() * 2);
+    stats_.reserve(index.numTerms());
 
     std::vector<Posting> postings; // decoded list, reused across terms
     std::vector<double> scores;    // DocId-ordered, reused across terms
@@ -52,7 +35,7 @@ TermStatsStore::TermStatsStore(const InvertedIndex &index, std::size_t k)
                 ++insertions;
         }
 
-        TermStats ts;
+        TermStats &ts = stats_.emplace_back();
         ts.postingLength = static_cast<double>(scores.size());
         ts.idf = termIdf;
         ts.estimatedMaxScore = index.scorer().staticUpperBound(termIdf);
@@ -68,7 +51,7 @@ TermStatsStore::TermStatsStore(const InvertedIndex &index, std::size_t k)
         ts.harmMeanScore = harmonicMean(scores);
         ts.scoreVariance = variance(scores);
         ts.maxScore = sorted.back();
-        ts.kthScore = kthLargest(scores, k);
+        ts.kthScore = sorted[sorted.size() - std::min(k, sorted.size())];
 
         // Pruning-behaviour features over the DocId-ordered sequence.
         std::size_t maxima = 0;
@@ -100,16 +83,7 @@ TermStatsStore::TermStatsStore(const InvertedIndex &index, std::size_t k)
         ts.numMaxScore = static_cast<double>(atMax);
         ts.docsNearMax = static_cast<double>(nearMax);
         ts.docsNearKth = static_cast<double>(nearKth);
-
-        stats_.emplace(list.term(), ts);
     }
-}
-
-const TermStats *
-TermStatsStore::get(TermId term) const
-{
-    const auto it = stats_.find(term);
-    return it == stats_.end() ? nullptr : &it->second;
 }
 
 } // namespace cottage

@@ -15,7 +15,7 @@
 #define COTTAGE_INDEX_TERM_STATS_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "index/inverted_index.h"
 #include "text/types.h"
@@ -96,13 +96,19 @@ class TermStatsStore
     /**
      * Compute statistics for every term on the shard.
      *
-     * @param index The shard's inverted index.
+     * @param index The shard's inverted index; it must outlive the
+     *        store, whose lookups go through its slot table.
      * @param k Result depth the engine serves (the K of top-K).
      */
     TermStatsStore(const InvertedIndex &index, std::size_t k);
 
     /** Statistics of a term, or nullptr when the shard lacks it. */
-    const TermStats *get(TermId term) const;
+    const TermStats *
+    get(TermId term) const
+    {
+        const uint32_t slot = index_->slot(term);
+        return slot == InvertedIndex::kNoSlot ? nullptr : &stats_[slot];
+    }
 
     /** Result depth the statistics were computed for. */
     std::size_t k() const { return k_; }
@@ -111,8 +117,9 @@ class TermStatsStore
     std::size_t size() const { return stats_.size(); }
 
   private:
+    const InvertedIndex *index_;
     std::size_t k_;
-    std::unordered_map<TermId, TermStats> stats_;
+    std::vector<TermStats> stats_; // in the index's slot order
 };
 
 } // namespace cottage

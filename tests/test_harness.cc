@@ -77,6 +77,24 @@ TEST(ExperimentConfigDeathTest, BadOperatorFlagsExitTwoNotAbort)
                 "k must be >= 1");
     EXPECT_EXIT(parse({"--threads=-1"}), ::testing::ExitedWithCode(2),
                 "threads must be >= 0");
+    // Negative counts must not wrap through the unsigned casts (one
+    // ISN would otherwise ask for 4.29e9 workers).
+    EXPECT_EXIT(parse({"--cores-per-isn=-1"}), ::testing::ExitedWithCode(2),
+                "cores-per-isn must be >= 1");
+    EXPECT_EXIT(parse({"--cores-per-isn=0"}), ::testing::ExitedWithCode(2),
+                "cores-per-isn must be >= 1");
+    EXPECT_EXIT(parse({"--docs=0"}), ::testing::ExitedWithCode(2),
+                "docs must be >= 1");
+    EXPECT_EXIT(parse({"--vocab=-1"}), ::testing::ExitedWithCode(2),
+                "vocab must be >= 29");
+    EXPECT_EXIT(parse({"--vocab=28"}), ::testing::ExitedWithCode(2),
+                "vocab must be >= 29");
+    EXPECT_EXIT(parse({"--queries=-1"}), ::testing::ExitedWithCode(2),
+                "--queries must be >= 1");
+    EXPECT_EXIT(parse({"--train-queries=0"}), ::testing::ExitedWithCode(2),
+                "train-queries must be >= 1");
+    EXPECT_EXIT(parse({"--iterations=-1"}), ::testing::ExitedWithCode(2),
+                "iterations must be >= 0");
     // --policy is checked by the binaries that take it, before they
     // build the stack.
     EXPECT_EXIT(Experiment::requirePolicyName("redde"),

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <memory>
 
@@ -693,6 +694,40 @@ TEST_F(IndexFixture, TermStatsBasicInvariants)
     EXPECT_GE(ts->estimatedMaxScore, ts->maxScore);
 
     EXPECT_EQ(store.get(2999999), nullptr);
+
+    // One slot table serves the postings and the statistics: on every
+    // shard of a 4-way split, the two lookups agree on each id of the
+    // vocabulary, the two ids past it, and the largest TermId.
+    const TermId vocab =
+        static_cast<TermId>(corpus_->vocabulary().size());
+    std::vector<TermId> ids;
+    for (TermId t = 0; t <= vocab + 1; ++t)
+        ids.push_back(t);
+    ids.push_back(std::numeric_limits<TermId>::max());
+    std::size_t absent = 0;
+    for (DocId s = 0; s < 4; ++s) {
+        std::vector<DocId> docs;
+        for (DocId d = s; d < corpus_->numDocs(); d += 4)
+            docs.push_back(d);
+        const InvertedIndex shard(*corpus_, docs, stats_);
+        const TermStatsStore shardStats(shard, 10);
+        for (TermId t : ids) {
+            const BlockMaxPostingList *list = shard.blockMax(t);
+            const TermStats *termStats = shardStats.get(t);
+            ASSERT_EQ(termStats != nullptr, list != nullptr) << "term " << t;
+            if (list == nullptr) {
+                absent += t < vocab;
+                continue;
+            }
+            EXPECT_EQ(termStats->postingLength,
+                      static_cast<double>(list->size()));
+            EXPECT_EQ(std::bit_cast<uint64_t>(termStats->maxScore),
+                      std::bit_cast<uint64_t>(list->maxScore()));
+        }
+    }
+    // Some in-vocabulary terms are missing from some shard, so the
+    // sentinel is reached inside the table as well as past its end.
+    EXPECT_GT(absent, 0u);
 }
 
 TEST_F(IndexFixture, TermStatsKthScoreMatchesSortedScores)

@@ -270,6 +270,31 @@ TEST_F(PredictFixture, LatencyPredictorConservativeDominates)
     }
 }
 
+TEST_F(PredictFixture, FeaturesMatchGoldenHash)
+{
+    // FNV-1a over the raw double bytes of both feature vectors for
+    // every (fixture query, shard) pair. The constant pins the term
+    // statistics layout: a change to how a shard stores or finds its
+    // statistics must leave every feature bitwise equal.
+    uint64_t hash = 0xcbf29ce484222325ull;
+    const auto mix = [&hash](const std::vector<double> &values) {
+        const auto *bytes =
+            reinterpret_cast<const unsigned char *>(values.data());
+        for (std::size_t i = 0; i < values.size() * sizeof(double); ++i) {
+            hash ^= bytes[i];
+            hash *= 0x100000001b3ull;
+        }
+    };
+    for (const Query &query : trainTrace_.queries()) {
+        for (ShardId s = 0; s < index_->numShards(); ++s) {
+            const TermStatsStore &stats = index_->termStats(s);
+            mix(qualityFeatures(stats, query.terms));
+            mix(latencyFeatures(stats, query.terms));
+        }
+    }
+    EXPECT_EQ(hash, 0x4549d0b2b6329917ull);
+}
+
 TEST_F(PredictFixture, ScratchCallsMatchSingleValueCalls)
 {
     // One scratch serves both quality heads and the latency model in
