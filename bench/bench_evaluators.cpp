@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -161,8 +162,10 @@ main(int argc, char **argv)
     const bool smoke = flags.getBool("smoke", false);
 
     CorpusConfig corpusConfig;
+    // The vocabulary is three terms per document, in the same uint32_t.
     corpusConfig.numDocs = static_cast<uint32_t>(
-        flags.getInt("docs", smoke ? 4000 : 20000));
+        getIntInRange(flags, "docs", smoke ? 4000 : 20000, 1,
+                      std::numeric_limits<uint32_t>::max() / 3));
     corpusConfig.vocabSize = corpusConfig.numDocs * 3;
     corpusConfig.meanDocLength = 120.0;
     corpusConfig.seed =

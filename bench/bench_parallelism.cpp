@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -109,7 +110,8 @@ main(int argc, char **argv)
     // dispatch overhead (a slice of the smoke corpus is ~6K docs).
     CorpusConfig corpusConfig;
     corpusConfig.numDocs = static_cast<uint32_t>(
-        flags.getInt("docs", smoke ? 24000 : 60000));
+        getIntInRange(flags, "docs", smoke ? 24000 : 60000, 1,
+                      std::numeric_limits<uint32_t>::max()));
     ShardedIndexConfig shardConfig;
     shardConfig.numShards = 1;
     const Corpus corpus = Corpus::generate(corpusConfig);

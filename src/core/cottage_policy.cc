@@ -42,29 +42,12 @@ CottagePolicy::CottagePolicy(const PredictorBank &bank, CottageConfig config)
                       "budget slack below 1 guarantees deadline misses");
 }
 
-void
-CottagePolicy::qualityEstimates(const DistributedEngine &engine,
-                                const std::vector<WeightedTerm> &terms,
-                                std::vector<uint32_t> &qualityK,
-                                std::vector<uint32_t> &qualityHalf) const
+bool
+CottagePolicy::presetQuality(const DistributedEngine &,
+                             const std::vector<WeightedTerm> &,
+                             std::vector<IsnPrediction> &) const
 {
-    const ShardId numShards = engine.index().numShards();
-    qualityK.resize(numShards);
-    qualityHalf.resize(numShards);
-    // Each ISN runs its own predictor (as in the paper's deployment):
-    // one task per shard, each writing only its own slots.
-    ThreadPool::global().parallelFor(0, numShards, [&](std::size_t s) {
-        double features[numQualityFeatures];
-        qualityFeatures(engine.index().termStats(static_cast<ShardId>(s)),
-                        terms, features);
-        const QualityEstimate estimate =
-            bank_->quality(static_cast<ShardId>(s))
-                .estimate(features, threadScratch());
-        qualityK[s] =
-            flooredCount(estimate.topK, config_.participationThreshold);
-        qualityHalf[s] =
-            flooredCount(estimate.topHalf, config_.halfThreshold);
-    });
+    return false;
 }
 
 std::vector<IsnPrediction>
@@ -77,28 +60,31 @@ CottagePolicy::predictIsns(const Query &query,
     const std::vector<WeightedTerm> terms =
         DistributedEngine::weightedTerms(query);
 
-    std::vector<uint32_t> qualityK;
-    std::vector<uint32_t> qualityHalf;
-    qualityEstimates(engine, terms, qualityK, qualityHalf);
-
     std::vector<IsnPrediction> predictions(numShards);
-    std::vector<ShardId> timed;
-    for (ShardId s = 0; s < numShards; ++s) {
+    const bool learned = !presetQuality(engine, terms, predictions);
+
+    // Each ISN runs its own predictors (as in the paper's deployment):
+    // one task per ISN, each writing only its own slot.
+    ThreadPool::global().parallelFor(0, numShards, [&](std::size_t i) {
+        const auto s = static_cast<ShardId>(i);
         IsnPrediction &prediction = predictions[s];
         prediction.isn = s;
-        prediction.qualityK = qualityK[s];
-        prediction.qualityHalf = qualityHalf[s];
-        if (!survivorsOnly || prediction.qualityK > 0)
-            timed.push_back(s);
-    }
+        const TermStatsStore &stats = engine.index().termStats(s);
+        if (learned) {
+            double features[numQualityFeatures];
+            qualityFeatures(stats, terms, features);
+            const QualityEstimate estimate =
+                bank_->quality(s).estimate(features, threadScratch());
+            prediction.qualityK =
+                flooredCount(estimate.topK, config_.participationThreshold);
+            prediction.qualityHalf =
+                flooredCount(estimate.topHalf, config_.halfThreshold);
+        }
+        if (survivorsOnly && prediction.qualityK == 0)
+            return;
 
-    // Latency, fanned out like quality over the ISNs that need it.
-
-    ThreadPool::global().parallelFor(0, timed.size(), [&](std::size_t t) {
-        const ShardId s = timed[t];
-        IsnPrediction &prediction = predictions[s];
         double features[numLatencyFeatures];
-        latencyFeatures(engine.index().termStats(s), terms, features);
+        latencyFeatures(stats, terms, features);
         // Conservative (bucket-upper-edge) prediction: a missed
         // deadline drops the whole response, so under-prediction is
         // the expensive direction.

@@ -100,25 +100,29 @@ class CottagePolicy : public Policy
 
   protected:
     /**
-     * Quality estimates (Q^K, Q^{K/2}) per shard for a query's
-     * weighted @p terms. Virtual so the Cottage-withoutML ablation can
-     * swap the learned predictor for Taily's Gamma estimate while
-     * keeping everything else identical.
+     * Hook for a quality estimate that needs every shard at once, run
+     * once per query before the per-ISN fan-out: fill qualityK and
+     * qualityHalf of every entry of @p predictions (one per shard) and
+     * return true. The default returns false, and each ISN's task runs
+     * its learned predictor instead. The Cottage-withoutML ablation
+     * swaps in Taily's Gamma estimate here while keeping everything
+     * else identical.
      */
-    virtual void qualityEstimates(const DistributedEngine &engine,
-                                  const std::vector<WeightedTerm> &terms,
-                                  std::vector<uint32_t> &qualityK,
-                                  std::vector<uint32_t> &qualityHalf) const;
+    virtual bool
+    presetQuality(const DistributedEngine &engine,
+                  const std::vector<WeightedTerm> &terms,
+                  std::vector<IsnPrediction> &predictions) const;
 
     const PredictorBank &bank() const { return *bank_; }
     const CottageConfig &cottageConfig() const { return config_; }
 
   private:
     /**
-     * Quality for every ISN, then equivalent latency for every ISN or,
-     * with @p survivorsOnly, only for those with Q^K > 0: Algorithm 1
-     * drops the rest at stage 1 without reading their latency, so
-     * their latency fields stay zero.
+     * One pool fan-out over the ISNs. Each task computes its ISN's
+     * quality, then its equivalent latency, or, with @p survivorsOnly,
+     * the latency only when Q^K > 0: Algorithm 1 drops the rest at
+     * stage 1 without reading their latency, so their latency fields
+     * stay zero.
      */
     std::vector<IsnPrediction> predictIsns(const Query &query,
                                            const DistributedEngine &engine,

@@ -40,11 +40,10 @@ class CottageWithoutMlPolicy : public CottagePolicy
     const char *name() const override { return "cottage-without-ml"; }
 
   protected:
-    void
-    qualityEstimates(const DistributedEngine &engine,
-                     const std::vector<WeightedTerm> &terms,
-                     std::vector<uint32_t> &qualityK,
-                     std::vector<uint32_t> &qualityHalf) const override
+    bool
+    presetQuality(const DistributedEngine &,
+                  const std::vector<WeightedTerm> &terms,
+                  std::vector<IsnPrediction> &predictions) const override
     {
         // Same Gamma machinery and cutoff tuning as the Taily
         // baseline; the halved ranking depth supplies the top-K/2
@@ -55,20 +54,16 @@ class CottageWithoutMlPolicy : public CottagePolicy
         const std::vector<double> expectedHalf =
             estimator_.expectedTopContributions(terms,
                                                 taily_.rankingDepth / 2.0);
-
-        const ShardId numShards = engine.index().numShards();
-        qualityK.resize(numShards);
-        qualityHalf.resize(numShards);
-        for (ShardId s = 0; s < numShards; ++s) {
-            qualityK[s] = expectedK[s] >= taily_.docCutoff
-                              ? static_cast<uint32_t>(
-                                    std::ceil(expectedK[s]))
-                              : 0;
-            qualityHalf[s] = expectedHalf[s] >= taily_.docCutoff
-                                 ? static_cast<uint32_t>(
-                                       std::ceil(expectedHalf[s]))
-                                 : 0;
+        const auto count = [this](double expected) {
+            return expected >= taily_.docCutoff
+                       ? static_cast<uint32_t>(std::ceil(expected))
+                       : 0;
+        };
+        for (std::size_t s = 0; s < predictions.size(); ++s) {
+            predictions[s].qualityK = count(expectedK[s]);
+            predictions[s].qualityHalf = count(expectedHalf[s]);
         }
+        return true;
     }
 
   private:

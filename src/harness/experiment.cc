@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <ostream>
 
 #include "core/cottage_isn_policy.h"
@@ -121,16 +122,22 @@ ExperimentConfig::fromFlags(const CliFlags &flags)
     // Operator-facing validation: a typo'd count, width or name should
     // print a usage hint and exit 2, not dump core via an assertion,
     // and a negative count must not wrap through the cast.
-    config.corpus.numDocs = static_cast<uint32_t>(
-        getIntAtLeast(flags, "docs", config.corpus.numDocs, 1));
+    // A count kept in a uint32_t field: past the field's width it
+    // would wrap through the cast too (2^32 + 100 would run as 100).
+    const auto count32 = [&flags](const char *name, uint32_t fallback,
+                                  int64_t minimum) {
+        return static_cast<uint32_t>(
+            getIntInRange(flags, name, fallback, minimum,
+                          std::numeric_limits<uint32_t>::max()));
+    };
+    config.corpus.numDocs = count32("docs", config.corpus.numDocs, 1);
     // QueryTrace::generate needs more terms than its 24 stopword ranks
     // plus 4 (Corpus::generate needs only 2).
-    config.corpus.vocabSize = static_cast<uint32_t>(
-        getIntAtLeast(flags, "vocab", config.corpus.vocabSize, 29));
+    config.corpus.vocabSize = count32("vocab", config.corpus.vocabSize, 29);
     config.corpus.seed =
         static_cast<uint64_t>(flags.getInt("seed", config.corpus.seed));
-    config.shards.numShards = static_cast<ShardId>(
-        getIntAtLeast(flags, "shards", config.shards.numShards, 1));
+    config.shards.numShards =
+        count32("shards", config.shards.numShards, 1);
     config.shards.topK = static_cast<std::size_t>(getIntAtLeast(
         flags, "k", static_cast<int64_t>(config.shards.topK), 1));
     config.traceQueries = static_cast<uint64_t>(getIntAtLeast(
@@ -159,10 +166,8 @@ ExperimentConfig::fromFlags(const CliFlags &flags)
     config.power.busyWattsAtReference = flags.getDouble(
         "busy-watts", config.power.busyWattsAtReference);
     config.sloSeconds = millis("slo-ms", config.sloSeconds);
-    config.coresPerIsn = static_cast<uint32_t>(
-        getIntAtLeast(flags, "cores-per-isn", config.coresPerIsn, 1));
-    config.isnCores = static_cast<uint32_t>(
-        getIntAtLeast(flags, "isn-cores", config.isnCores, 1));
+    config.coresPerIsn = count32("cores-per-isn", config.coresPerIsn, 1);
+    config.isnCores = count32("isn-cores", config.isnCores, 1);
     config.cottage.maxCoresPerQuery = config.isnCores;
     config.speedup.serialFraction = flags.getDouble(
         "speedup-serial-fraction", config.speedup.serialFraction);
@@ -180,12 +185,11 @@ ExperimentConfig::fromFlags(const CliFlags &flags)
         cliError("unknown evaluator: " + config.evaluator,
                  "--evaluator=NAME with NAME one of exhaustive, maxscore, "
                  "wand, bmw");
-    config.shards.blockSize = static_cast<uint32_t>(
-        getIntAtLeast(flags, "block-size", config.shards.blockSize, 1));
+    config.shards.blockSize =
+        count32("block-size", config.shards.blockSize, 1);
     // 0 keeps the default pool; a negative count would wrap through
     // the cast into billions of workers.
-    config.threads = static_cast<uint32_t>(
-        getIntAtLeast(flags, "threads", config.threads, 0));
+    config.threads = count32("threads", config.threads, 0);
     config.anytime = flags.getBool("anytime", config.anytime);
     config.traceOut = flags.getString("trace-out", config.traceOut);
     config.metricsOut = flags.getString("metrics-out", config.metricsOut);

@@ -1,29 +1,7 @@
 #include "nn/matrix.h"
 
+#include "nn/kernel_clones.h"
 #include "util/logging.h"
-
-// The kernel is built for GCC's superword (SLP) vectorizer: with the
-// loop vectorizer on, GCC 12 vectorizes the reduction over p instead
-// and spills the accumulators (0.22 vs 0.16 ns/MAC, docs/cycles.md).
-// On x86-64 it is also compiled a second time for AVX2, picked at load
-// time. "avx2" carries no FMA, so neither clone can contract a * b + c
-// into one rounding: both produce the default clone's bytes. Clang and
-// COTTAGE_NO_SIMD builds compile the default clone only, and so do
-// ThreadSanitizer builds: the clone's ifunc resolver runs before the
-// TSan runtime is up and crashes the program at load.
-#if defined(__GNUC__) && !defined(__clang__)
-#define COTTAGE_GEMM_SLP_ONLY __attribute__((optimize("no-tree-loop-vectorize")))
-#if defined(__x86_64__) && !defined(COTTAGE_NO_SIMD) &&                     \
-    !defined(__SANITIZE_THREAD__)
-#define COTTAGE_GEMM_CLONES __attribute__((target_clones("avx2", "default")))
-#endif
-#endif
-#ifndef COTTAGE_GEMM_SLP_ONLY
-#define COTTAGE_GEMM_SLP_ONLY
-#endif
-#ifndef COTTAGE_GEMM_CLONES
-#define COTTAGE_GEMM_CLONES
-#endif
 
 namespace cottage {
 
@@ -92,7 +70,7 @@ gemmBand(const Gemm &g, std::size_t i0)
         gemmBlock<Rows, 1>(g, i0, j0);
 }
 
-COTTAGE_GEMM_CLONES COTTAGE_GEMM_SLP_ONLY void
+COTTAGE_NN_CLONES COTTAGE_NN_SLP_ONLY void
 gemm(const Gemm &g)
 {
     std::size_t i0 = 0;

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <ostream>
 
+#include "nn/kernel_clones.h"
 #include "util/checked_reader.h"
 #include "util/logging.h"
 
@@ -56,6 +57,76 @@ adamUpdate(const AdamConfig &adam, double correction1, double correction2,
         for (std::size_t i = 0; i < n; ++i)
             param[i] -= learningRate * weightDecay * param[i];
     }
+}
+
+/** Outputs of one dense layer held in registers per block. */
+constexpr std::size_t kDenseBlock = 16;
+
+/**
+ * Operands of one single-sample dense layer: out = bias + the sum over
+ * the @p count live inputs of value * weight row. Each row has fanOut
+ * weights.
+ */
+struct DenseLayer
+{
+    const double *values;
+    const double *const *rows;
+    std::size_t count;
+    const double *bias;
+    std::size_t fanOut;
+    double *out;
+};
+
+/**
+ * Outputs j0 .. j0 + Width - 1 of a dense layer, accumulated in
+ * registers: each starts at its bias and adds value * weight for the
+ * live inputs in ascending order, the sum the unblocked loop forms.
+ * Vectorizing across the block's outputs reorders no output's sum.
+ */
+template <std::size_t Width>
+[[gnu::always_inline]] inline void
+denseBlock(const DenseLayer &d, std::size_t j0)
+{
+    double acc[Width];
+    for (std::size_t j = 0; j < Width; ++j)
+        acc[j] = d.bias[j0 + j];
+    for (std::size_t k = 0; k < d.count; ++k) {
+        const double v = d.values[k];
+        const double *w = d.rows[k] + j0;
+        for (std::size_t j = 0; j < Width; ++j)
+            acc[j] += v * w[j];
+    }
+    // Plain stores: a ReLU select here splits GCC's SLP tree and
+    // leaves a quarter of the block scalar.
+    for (std::size_t j = 0; j < Width; ++j)
+        d.out[j0 + j] = acc[j];
+}
+
+/**
+ * One dense layer: full blocks, then one 8-, 4-, 2- and 1-wide block
+ * each as the remainder needs (11 classes are 8 + 2 + 1, 20 are
+ * 16 + 4).
+ */
+COTTAGE_NN_CLONES COTTAGE_NN_SLP_ONLY void
+denseLayer(const DenseLayer &d)
+{
+    std::size_t j0 = 0;
+    for (; j0 + kDenseBlock <= d.fanOut; j0 += kDenseBlock)
+        denseBlock<kDenseBlock>(d, j0);
+    if (j0 + 8 <= d.fanOut) {
+        denseBlock<8>(d, j0);
+        j0 += 8;
+    }
+    if (j0 + 4 <= d.fanOut) {
+        denseBlock<4>(d, j0);
+        j0 += 4;
+    }
+    if (j0 + 2 <= d.fanOut) {
+        denseBlock<2>(d, j0);
+        j0 += 2;
+    }
+    if (j0 < d.fanOut)
+        denseBlock<1>(d, j0);
 }
 
 } // namespace
@@ -289,30 +360,35 @@ MlpClassifier::forward(const double *features, MlpScratch &scratch) const
     if (scratch.ping.size() < maxWidth_) {
         scratch.ping.resize(maxWidth_);
         scratch.pong.resize(maxWidth_);
+        scratch.liveInputs.resize(maxWidth_);
+        scratch.liveRows.resize(maxWidth_);
     }
     double *current = scratch.ping.data();
     double *next = scratch.pong.data();
+    double *values = scratch.liveInputs.data();
+    const double **rows = scratch.liveRows.data();
     normalize(features, current);
     std::size_t fanIn = config_.inputDim;
     for (std::size_t l = 0; l < layers_.size(); ++l) {
         const Layer &layer = layers_[l];
-        const std::size_t fanOut = layer.weights.cols();
-        // Inputs outer, outputs inner: each output accumulates bias,
-        // then input 0, 1, ... in order, whatever the vector width.
-        std::copy(layer.bias.begin(), layer.bias.end(), next);
+        // Compact the non-zero inputs without a branch: every input is
+        // written to the next free slot, which only a non-zero claims.
+        // A skipped input adds nothing, not even a +-0 that could flip
+        // a -0.0 bias.
+        std::size_t count = 0;
         for (std::size_t i = 0; i < fanIn; ++i) {
-            const double v = current[i];
-            if (v == 0.0)
-                continue;
-            const double *wRow = layer.weights.row(i);
-            for (std::size_t j = 0; j < fanOut; ++j)
-                next[j] += v * wRow[j];
+            values[count] = current[i];
+            rows[count] = layer.weights.row(i);
+            count += current[i] != 0.0;
         }
-        const bool hidden = l + 1 < layers_.size();
-        if (hidden) {
+        const std::size_t fanOut = layer.weights.cols();
+        denseLayer({values, rows, count, layer.bias.data(), fanOut, next});
+        // ReLU as a select, not a branch: about half the
+        // pre-activations are negative in no predictable order. -0.0
+        // passes through as itself.
+        if (l + 1 < layers_.size()) {
             for (std::size_t j = 0; j < fanOut; ++j)
-                if (next[j] < 0.0)
-                    next[j] = 0.0;
+                next[j] = next[j] < 0.0 ? 0.0 : next[j];
         }
         std::swap(current, next);
         fanIn = fanOut;

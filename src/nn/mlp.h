@@ -65,8 +65,17 @@ struct AdamConfig
  */
 struct MlpScratch
 {
+    /** Layer activations, ping-ponged between layers. */
     std::vector<double> ping;
     std::vector<double> pong;
+
+    /**
+     * One layer's non-zero inputs in ascending input order, and the
+     * weight row each one multiplies: the dense kernel streams only
+     * these.
+     */
+    std::vector<double> liveInputs;
+    std::vector<const double *> liveRows;
 };
 
 /** ReLU MLP classifier trained with Adam on softmax cross-entropy. */

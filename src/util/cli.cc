@@ -102,6 +102,20 @@ getIntAtLeast(const CliFlags &flags, const std::string &name,
     return value;
 }
 
+int64_t
+getIntInRange(const CliFlags &flags, const std::string &name,
+              int64_t fallback, int64_t minimum, int64_t maximum)
+{
+    const int64_t value = getIntAtLeast(flags, name, fallback, minimum);
+    if (flags.has(name) && value > maximum)
+        cliError("flag --" + name + " must be <= " +
+                     std::to_string(maximum) + ", got " +
+                     std::to_string(value),
+                 "--" + name + "=N with " + std::to_string(minimum) +
+                     " <= N <= " + std::to_string(maximum));
+    return value;
+}
+
 double
 getPositiveDouble(const CliFlags &flags, const std::string &name,
                   double fallback)

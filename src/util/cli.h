@@ -79,6 +79,14 @@ class CliFlags
 int64_t getIntAtLeast(const CliFlags &flags, const std::string &name,
                       int64_t fallback, int64_t minimum);
 
+/**
+ * Fetch an integer flag and cliError() unless it lies in
+ * [@p minimum, @p maximum], e.g. a count whose field is narrower than
+ * int64_t. The fallback is NOT validated.
+ */
+int64_t getIntInRange(const CliFlags &flags, const std::string &name,
+                      int64_t fallback, int64_t minimum, int64_t maximum);
+
 /** Fetch a double flag and cliError() unless it is strictly positive. */
 double getPositiveDouble(const CliFlags &flags, const std::string &name,
                          double fallback);

@@ -95,6 +95,17 @@ TEST(ExperimentConfigDeathTest, BadOperatorFlagsExitTwoNotAbort)
                 "train-queries must be >= 1");
     EXPECT_EXIT(parse({"--iterations=-1"}), ::testing::ExitedWithCode(2),
                 "iterations must be >= 0");
+    // Nor may a count wrap past the width of its uint32_t field: 2^32
+    // + 100 would otherwise run as 100.
+    for (const char *flag : {"docs", "vocab", "shards", "cores-per-isn",
+                             "isn-cores", "block-size", "threads"}) {
+        const std::string arg =
+            std::string("--") + flag + "=4294967396";
+        EXPECT_EXIT(parse({arg.c_str()}), ::testing::ExitedWithCode(2),
+                    std::string(flag) + " must be <= 4294967295, got "
+                                        "4294967396")
+            << flag;
+    }
     // --policy is checked by the binaries that take it, before they
     // build the stack.
     EXPECT_EXIT(Experiment::requirePolicyName("redde"),

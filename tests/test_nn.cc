@@ -448,24 +448,52 @@ referenceProbabilities(const ReferenceNet &net, const double *features)
     return current;
 }
 
+/**
+ * A raw sample of @p n features in runs of one to four equal kinds:
+ * exact 0.0, exact -0.0, or values drawn from [-5, 20).
+ */
+std::vector<double>
+sampleWithZeroRuns(Rng &rng, std::size_t n)
+{
+    std::vector<double> sample(n);
+    for (std::size_t f = 0; f < n;) {
+        const double kind = rng.uniform(0.0, 1.0);
+        for (int64_t run = rng.uniformInt(1, 4); run > 0 && f < n;
+             --run, ++f)
+            sample[f] = kind < 0.2    ? 0.0
+                        : kind < 0.4 ? -0.0
+                                     : rng.uniform(-5.0, 20.0);
+    }
+    return sample;
+}
+
 TEST(Mlp, ScratchForwardIsBitIdenticalAcrossNetworkShapes)
 {
     // The predictor bank's three shapes (quality top-K head, top-K/2
     // head, latency model) plus the paper's 5 x 128, visited in turn
     // with one scratch: it grows for the widest and is then reused
     // with stale values past narrower layers' widths.
+    // The last four have widths that are no multiple of the forward
+    // kernel's output block (fan-in 1; layers of 1, 3, 17 and 33) and
+    // keep identity normalization, so exact 0.0 and -0.0 inputs reach
+    // the first layer unchanged.
     struct Shape
     {
         std::size_t inputDim;
         std::size_t numClasses;
         std::vector<std::size_t> hidden;
+        bool normalize;
     };
     const std::vector<Shape> shapes = {
-        {10, 11, {64, 64}},
-        {10, 6, {64, 64}},
-        {15, 20, {64, 64}},
-        {10, 11, {128, 128, 128, 128, 128}},
-        {3, 2, {5}},
+        {10, 11, {64, 64}, true},
+        {10, 6, {64, 64}, true},
+        {15, 20, {64, 64}, true},
+        {10, 11, {128, 128, 128, 128, 128}, true},
+        {3, 2, {5}, true},
+        {1, 3, {1}, false},
+        {1, 17, {33}, false},
+        {3, 33, {17, 1, 3}, false},
+        {33, 2, {17}, false},
     };
     Rng rng(77);
     std::vector<MlpClassifier> models;
@@ -483,7 +511,8 @@ TEST(Mlp, ScratchForwardIsBitIdenticalAcrossNetworkShapes)
                 v = rng.uniform(-5.0, 20.0);
             data.add(sample, static_cast<uint32_t>(n) % 2);
         }
-        model.fitNormalization(data);
+        if (shapes[i].normalize)
+            model.fitNormalization(data);
         model.train(data, 20); // non-zero biases
         models.push_back(std::move(model));
     }
@@ -496,10 +525,8 @@ TEST(Mlp, ScratchForwardIsBitIdenticalAcrossNetworkShapes)
     for (int round = 0; round < 30; ++round) {
         for (std::size_t m = 0; m < models.size(); ++m) {
             const MlpClassifier &model = models[m];
-            std::vector<double> sample(model.config().inputDim);
-            for (double &v : sample)
-                v = rng.uniform(0.0, 1.0) < 0.2 ? 0.0
-                                                : rng.uniform(-5.0, 20.0);
+            const std::vector<double> sample =
+                sampleWithZeroRuns(rng, model.config().inputDim);
             const std::vector<double> viaWrapper =
                 model.probabilities(sample.data());
             const std::vector<double> reference =
@@ -528,12 +555,11 @@ fnv1a(const std::string &bytes)
 }
 
 /**
- * FNV-1a of save() after 200 Adam steps of a {64, 64}-hidden network on
- * seeded data with ReLU-style zero features.
+ * A {64, 64}-hidden network after 200 Adam steps on seeded data with
+ * ReLU-style zero features.
  */
-uint64_t
-trainedWeightsHash(std::size_t inputDim, std::size_t numClasses,
-                   uint64_t seed)
+MlpClassifier
+trainedNet(std::size_t inputDim, std::size_t numClasses, uint64_t seed)
 {
     Rng rng(seed);
     Dataset data(inputDim);
@@ -557,9 +583,38 @@ trainedWeightsHash(std::size_t inputDim, std::size_t numClasses,
     MlpClassifier model(config);
     model.fitNormalization(data);
     model.train(data, 200);
+    return model;
+}
+
+/** FNV-1a of trainedNet()'s save() text. */
+uint64_t
+trainedWeightsHash(std::size_t inputDim, std::size_t numClasses,
+                   uint64_t seed)
+{
     std::ostringstream out;
-    model.save(out);
+    trainedNet(inputDim, numClasses, seed).save(out);
     return fnv1a(out.str());
+}
+
+/**
+ * FNV-1a of the raw bytes of forward() over 300 seeded samples with
+ * runs of 0.0 and -0.0, all through one scratch.
+ */
+uint64_t
+forwardOutputsHash(std::size_t inputDim, std::size_t numClasses,
+                   uint64_t seed)
+{
+    const MlpClassifier model = trainedNet(inputDim, numClasses, seed);
+    Rng rng(seed + 1);
+    MlpScratch scratch;
+    std::string bytes;
+    for (int n = 0; n < 300; ++n) {
+        const std::vector<double> sample = sampleWithZeroRuns(rng, inputDim);
+        const double *probs = model.forward(sample.data(), scratch);
+        bytes.append(reinterpret_cast<const char *>(probs),
+                     numClasses * sizeof(double));
+    }
+    return fnv1a(bytes);
 }
 
 TEST(Mlp, TrainedWeightsMatchGoldenHash)
@@ -571,6 +626,15 @@ TEST(Mlp, TrainedWeightsMatchGoldenHash)
     // build on an AVX2 host) and in the default clone (COTTAGE_NO_SIMD).
     EXPECT_EQ(trainedWeightsHash(10, 11, 31), 0x262707d5b0c4b667ull);
     EXPECT_EQ(trainedWeightsHash(15, 20, 47), 0xac2fe64d5268c404ull);
+}
+
+TEST(Mlp, ForwardOutputsMatchGoldenHash)
+{
+    // The same two nets' inference bytes. The constants were captured
+    // from the unblocked forward loop (inputs outer, outputs inner); the
+    // blocked forward kernel must reproduce them in both clones.
+    EXPECT_EQ(forwardOutputsHash(10, 11, 31), 0xe2eeb38899df274eull);
+    EXPECT_EQ(forwardOutputsHash(15, 20, 47), 0xb3adf188b4800b7aull);
 }
 
 /** save() text of a small trained model, for corrupting. */

@@ -306,10 +306,17 @@ TEST(CliValidationDeathTest, BadFlagValuesExitTwoWithUsageHint)
     // invocation" exit code 2 — not an assertion abort. Exit 2 is
     // also what scripts/check_bench.py reserves for unusable input,
     // so the whole toolchain means the same thing by it.
-    const char *argv[] = {"prog", "--isn-cores=0", "--qps-scale=-1"};
-    const CliFlags flags(3, argv);
+    const char *argv[] = {"prog", "--isn-cores=0", "--qps-scale=-1",
+                          "--shards=9"};
+    const CliFlags flags(4, argv);
     EXPECT_EXIT(getIntAtLeast(flags, "isn-cores", 1, 1),
                 ::testing::ExitedWithCode(2), "isn-cores.*>= 1");
+    EXPECT_EXIT(getIntInRange(flags, "isn-cores", 1, 1, 8),
+                ::testing::ExitedWithCode(2), "isn-cores.*>= 1");
+    EXPECT_EXIT(getIntInRange(flags, "shards", 1, 1, 8),
+                ::testing::ExitedWithCode(2),
+                "shards must be <= 8, got 9\nusage: --shards=N with 1 <= "
+                "N <= 8");
     EXPECT_EXIT(getPositiveDouble(flags, "qps-scale", 4.0),
                 ::testing::ExitedWithCode(2),
                 "qps-scale.*strictly positive");
@@ -362,6 +369,7 @@ TEST(CliValidation, InRangeAndAbsentFlagsPassThrough)
     const CliFlags flags(3, argv);
     // Present and valid: the parsed value.
     EXPECT_EQ(getIntAtLeast(flags, "isn-cores", 1, 1), 4);
+    EXPECT_EQ(getIntInRange(flags, "isn-cores", 1, 1, 4), 4);
     EXPECT_DOUBLE_EQ(getPositiveDouble(flags, "qps-scale", 4.0), 2.5);
     // Absent: the compiled-in fallback is trusted, NOT validated —
     // even one that violates the bound (callers own their defaults).
